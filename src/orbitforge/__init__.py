@@ -27,7 +27,7 @@ from .heights import (
     one_step_bound,
     support_lambda,
 )
-from .polynomials import Polynomial, poly_from_ints, splitting_degree
+from .polynomials import Polynomial, splitting_degree
 from .constants import (
     A1,
     A2,
@@ -69,7 +69,6 @@ from .orbits import (
 from .search import (
     CampaignReport,
     SearchConfig,
-    enumerate_ring_elements,
     lambda_growth_report,
     ring_elements_capped,
     search_dependence,

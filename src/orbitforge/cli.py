@@ -11,10 +11,8 @@ import argparse
 import csv
 import json
 import os
-import random
 import sys
 
-from . import __version__
 from .cache import FactorCache, default_cache_path
 from .config import ConfigError, RunConfig, load_config
 from .constants import (
@@ -94,9 +92,7 @@ def write_report(report: CampaignReport, out_dir: str, name: str):
     return jpath, cpath
 
 
-def _search_config(cfg: RunConfig, shards: int, cache) -> SearchConfig:
-    if cfg.poly is None:
-        raise ConfigError("this command needs [poly] coeffs")
+def _search_config(cfg: RunConfig, shards: int = 1) -> SearchConfig:
     return SearchConfig(
         field=cfg.field,
         f=cfg.poly,
@@ -109,7 +105,6 @@ def _search_config(cfg: RunConfig, shards: int, cache) -> SearchConfig:
         c_params=cfg.c_params,
         splitting=cfg.splitting_override(),
         shard_count=shards,
-        cache=cache,
     )
 
 
@@ -124,22 +119,11 @@ def _alpha(cfg: RunConfig):
 
 
 def _provenance_report(cfg: RunConfig, kind: str, rows, partial: bool) -> CampaignReport:
-    sc = SearchConfig(
-        field=cfg.field,
-        f=cfg.poly,
-        S=cfg.S,
-        height_cap=cfg.height_cap,
-        m_max=cfg.m_max,
-        bit_cap=cfg.bit_cap,
-        factor_budget=cfg.factor_budget,
-        element_cap=cfg.element_cap,
-        c_params=cfg.c_params,
-    )
-    prov = sc.provenance()
+    prov = _search_config(cfg).provenance()
     if cfg.poly is None:
         prov["poly"] = None
     prov.update({f"run_{k}": _jsonable(v) for k, v in sorted(cfg.run_options.items())})
-    return CampaignReport(kind, prov, rows, partial, version=__version__)
+    return CampaignReport(kind, prov, rows, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +131,7 @@ def _provenance_report(cfg: RunConfig, kind: str, rows, partial: bool) -> Campai
 # ---------------------------------------------------------------------------
 
 
-def _cmd_heights(cfg: RunConfig, shards, seed, cache):
+def _cmd_heights(cfg: RunConfig, shards, cache):
     x = _alpha(cfg)
     hb = height(x, cfg.factor_budget, cache)
     rows = [
@@ -173,7 +157,7 @@ def _cmd_heights(cfg: RunConfig, shards, seed, cache):
     return _provenance_report(cfg, "heights", rows, False)
 
 
-def _cmd_constants(cfg: RunConfig, shards, seed, cache):
+def _cmd_constants(cfg: RunConfig, shards, cache):
     field = cfg.field
     s, t, P, Q, T = sset_params(cfg.S)
     rows = [
@@ -210,9 +194,7 @@ def _cmd_constants(cfg: RunConfig, shards, seed, cache):
     return _provenance_report(cfg, "constants", rows, False)
 
 
-def _cmd_orbit(cfg: RunConfig, shards, seed, cache):
-    if cfg.poly is None:
-        raise ConfigError("orbit needs [poly]")
+def _cmd_orbit(cfg: RunConfig, shards, cache):
     x = _alpha(cfg)
     m = int(cfg.run_options.get("m", cfg.m_max))
     orb = iterate_orbit(cfg.poly, x, m, cfg.bit_cap)
@@ -235,49 +217,44 @@ def _cmd_orbit(cfg: RunConfig, shards, seed, cache):
     return _provenance_report(cfg, "orbit", rows, partial)
 
 
-def _cmd_witness(cfg: RunConfig, shards, seed, cache):
-    if cfg.poly is None:
-        raise ConfigError("witness needs [poly]")
+def _cmd_witness(cfg: RunConfig, shards, cache):
     x = _alpha(cfg)
     m = int(_need(cfg, "m"))
     n = int(_need(cfg, "n"))
-    rows = []
-    partial = False
-    w = check_s_integer_ratio(cfg.poly, x, m, n, cfg.S)
-    rows.append(w.row() if w else {"type": "no_witness", "kind": "s_integer_ratio", "m": m, "n": n})
+    orbit = iterate_orbit(cfg.poly, x, m, cfg.bit_cap)
+    if orbit.truncated:
+        rows = [{"type": "skip", "m": m, "n": n,
+                 "reason": f"bit-cap at iterate {orbit.length + 1}"}]
+        return _provenance_report(cfg, "witness", rows, True)
+    w = check_s_integer_ratio(orbit, m, n, cfg.S)
+    rows = [w.row() if w else {"type": "no_witness", "kind": "s_integer_ratio", "m": m, "n": n}]
     if n >= 1:
-        try:
-            w2 = check_power_dependence(
-                cfg.poly, x, m, n, cfg.S, cfg.factor_budget, cache
-            )
-            rows.append(
-                w2.row() if w2 else {"type": "no_witness", "kind": "power_relation", "m": m, "n": n}
-            )
-        except IncompleteFactorization:
-            rows.append({"type": "skip", "m": m, "n": n, "reason": "factor-budget"})
-            partial = True
-    return _provenance_report(cfg, "witness", rows, partial)
+        w2 = check_power_dependence(orbit, m, n, cfg.S)
+        rows.append(
+            w2.row() if w2 else {"type": "no_witness", "kind": "power_relation", "m": m, "n": n}
+        )
+    return _provenance_report(cfg, "witness", rows, False)
 
 
-def _cmd_search_dependence(cfg: RunConfig, shards, seed, cache):
-    return search_dependence(_search_config(cfg, shards, cache))
+def _cmd_search_dependence(cfg: RunConfig, shards, cache):
+    return search_dependence(_search_config(cfg, shards))
 
 
-def _cmd_sunit_scan(cfg: RunConfig, shards, seed, cache):
+def _cmd_sunit_scan(cfg: RunConfig, shards, cache):
     n_max = int(cfg.run_options.get("n_max", cfg.m_max))
-    return search_sunit_orbit_values(_search_config(cfg, shards, cache), n_max)
+    return search_sunit_orbit_values(_search_config(cfg, shards), n_max)
 
 
-def _cmd_primitive_divisors(cfg: RunConfig, shards, seed, cache):
-    if cfg.poly is None:
-        raise ConfigError("primitive-divisors needs [poly]")
+def _cmd_primitive_divisors(cfg: RunConfig, shards, cache):
     x = _alpha(cfg)
     m = int(_need(cfg, "m"))
     k = int(cfg.run_options.get("k", m))
     rows = []
     partial = False
     try:
-        res = find_primitive_divisor(cfg.poly, x, m, k, cfg.factor_budget, cache)
+        res = find_primitive_divisor(
+            cfg.poly, x, m, k, cfg.factor_budget, cache, cfg.bit_cap
+        )
         rows.append(
             {
                 "type": "primitive_divisor",
@@ -294,9 +271,7 @@ def _cmd_primitive_divisors(cfg: RunConfig, shards, seed, cache):
     return _provenance_report(cfg, "primitive-divisors", rows, partial)
 
 
-def _cmd_lambda_report(cfg: RunConfig, shards, seed, cache):
-    if cfg.poly is None:
-        raise ConfigError("lambda-report needs [poly]")
+def _cmd_lambda_report(cfg: RunConfig, shards, cache):
     x = _alpha(cfg)
     n = int(cfg.run_options.get("n", 0))
     m_max = int(cfg.run_options.get("m", cfg.m_max))
@@ -307,9 +282,7 @@ def _cmd_lambda_report(cfg: RunConfig, shards, seed, cache):
     return _provenance_report(cfg, "lambda-report", rows, partial)
 
 
-def _cmd_verify_spart(cfg: RunConfig, shards, seed, cache):
-    if cfg.poly is None:
-        raise ConfigError("verify-spart needs [poly]")
+def _cmd_verify_spart(cfg: RunConfig, shards, cache):
     rows = []
     partial = False
     if "alpha" in cfg.run_options:
@@ -322,7 +295,7 @@ def _cmd_verify_spart(cfg: RunConfig, shards, seed, cache):
             partial = True
     n_samples = int(cfg.run_options.get("sample_count", 0))
     if n_samples > 0:
-        rep = verify_spart_empirical(_search_config(cfg, shards, cache), n_samples)
+        rep = verify_spart_empirical(_search_config(cfg, shards), n_samples)
         rows.extend(rep.rows)
     rep = _provenance_report(cfg, "verify-spart", rows, partial)
     return rep
@@ -341,12 +314,12 @@ _HANDLERS = {
 }
 
 
-def run_command(name: str, cfg: RunConfig, out_dir: str, shards: int = 1, seed=None, cache=None) -> int:
+def run_command(name: str, cfg: RunConfig, out_dir: str, shards: int = 1, cache=None) -> int:
     if name not in _HANDLERS:
         raise ConfigError(f"unknown command {name!r}")
-    if seed is not None:
-        random.seed(seed)
-    report = _HANDLERS[name](cfg, shards, seed, cache)
+    if cfg.poly is None and name not in ("heights", "constants"):
+        raise ConfigError(f"{name} needs [poly]")
+    report = _HANDLERS[name](cfg, shards, cache)
     write_report(report, out_dir, name)
     partial = report.partial or any(r.get("type") == "skip" for r in report.rows)
     return 2 if partial else 0
@@ -361,14 +334,13 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="INI run configuration")
     ap.add_argument("--out", default=None, help="output directory (default: config [output] dir or .)")
     ap.add_argument("--shards", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.output_dir or "."
         cache_path = default_cache_path()
         cache = FactorCache(cache_path) if cache_path else None
-        code = run_command(args.command, cfg, out_dir, args.shards, args.seed, cache)
+        code = run_command(args.command, cfg, out_dir, args.shards, cache)
         return code
     except (ConfigError, FieldError, ValueError, ArithmeticError, OSError) as exc:
         print(f"orbitforge: error: {exc}", file=sys.stderr)

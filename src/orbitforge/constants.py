@@ -368,12 +368,8 @@ def splitting_transfer_params(K: FieldSpec, L: FieldSpec, S: SSet) -> dict:
     D = L.degree // K.degree
     ideals_L = []
     for p in S.rational_primes():
-        above_K = [P for P in factor_rational_prime(K, p) if S.contains_ideal(P)]
-        if len(above_K) == len(factor_rational_prime(K, p)):
-            ideals_L.extend(factor_rational_prime(L, p))
-        else:
-            # partial selection only transfers cleanly for full-p sets
-            ideals_L.extend(factor_rational_prime(L, p))
+        # every ideal of L above p, also when S holds only some of K's
+        ideals_L.extend(factor_rational_prime(L, p))
     T = SSet(L, ideals_L)
     sK, tK, PK, QK, TK = sset_params(S)
     sL, tL, PL, QL, TL = sset_params(T)

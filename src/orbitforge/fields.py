@@ -172,6 +172,15 @@ class NFElement:
         m = self.denominator_lcm()
         return NFElement(self.field, self.a * m, self.b * m), m
 
+    def bit_size(self) -> int:
+        """Largest bit length among the coordinate numerators and denominators."""
+        return max(
+            self.a.numerator.bit_length(),
+            self.a.denominator.bit_length(),
+            self.b.numerator.bit_length(),
+            self.b.denominator.bit_length(),
+        )
+
     # -- misc -------------------------------------------------------------
 
     def __eq__(self, other):

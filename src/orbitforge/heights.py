@@ -29,10 +29,6 @@ from .polynomials import Polynomial
 _SHIFT_BITS = 900
 
 
-def _log_int(n: int) -> float:
-    return math.log(n)
-
-
 def _log_scaled_sum(a: int, b: int, D: int) -> float:
     """log(a + b*sqrt(D)) for a, b >= 0, not both 0, any bit size."""
     k = max(a.bit_length(), b.bit_length()) - _SHIFT_BITS
@@ -44,14 +40,14 @@ def _log_scaled_sum(a: int, b: int, D: int) -> float:
 def _log_embed_pair(A: int, B: int, D: int) -> tuple[float, float]:
     """(log|A + B*sqrt(D)|, log|A - B*sqrt(D)|) without cancellation, D > 0."""
     if B == 0:
-        v = _log_int(abs(A))
+        v = math.log(abs(A))
         return v, v
     if A == 0:
-        v = _log_int(abs(B)) + 0.5 * math.log(D)
+        v = math.log(abs(B)) + 0.5 * math.log(D)
         return v, v
     norm = A * A - D * B * B
     big = _log_scaled_sum(abs(A), abs(B), D)
-    small = _log_int(abs(norm)) - big
+    small = math.log(abs(norm)) - big
     if (A > 0) == (B > 0):
         return big, small
     return small, big
@@ -63,16 +59,16 @@ def log_abs_embedding(x: NFElement, embedding_index: int = 0) -> float:
         raise ZeroDivisionError("log|0| requested")
     field = x.field
     if field.degree == 1:
-        return _log_int(abs(x.a.numerator)) - _log_int(x.a.denominator)
+        return math.log(abs(x.a.numerator)) - math.log(x.a.denominator)
     u, v = x.sqrtd_coords()
     A = u.numerator * v.denominator
     B = v.numerator * u.denominator
     W = u.denominator * v.denominator
     if field.D > 0:
         plus, minus = _log_embed_pair(A, B, field.D)
-        return (plus if embedding_index == 0 else minus) - _log_int(W)
+        return (plus if embedding_index == 0 else minus) - math.log(W)
     # complex embedding: |x| = sqrt(A^2 + |D| B^2) / W
-    return 0.5 * _log_int(A * A - field.D * B * B) - _log_int(W)
+    return 0.5 * math.log(A * A - field.D * B * B) - math.log(W)
 
 
 def local_abs(x: NFElement, v: Place) -> float:
@@ -282,26 +278,13 @@ def canonical_height(
     k = 0
     while B / ((n - 1) * n**k) > tol:
         nxt = f(y)
-        if _bit_size(nxt) > bit_cap:
+        if nxt.bit_size() > bit_cap:
             break
         y = nxt
         k += 1
     val = height_value(y) / n**k if not y.is_zero() else 0.0
     err = B / ((n - 1) * n**k)
     return CanonicalHeightResult(max(val, 0.0), err, k, B)
-
-
-def _bit_size(x: NFElement) -> int:
-    return max(
-        x.a.numerator.bit_length(),
-        x.a.denominator.bit_length(),
-        x.b.numerator.bit_length(),
-        x.b.denominator.bit_length(),
-    )
-
-
-def element_bit_size(x: NFElement) -> int:
-    return _bit_size(x)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +309,7 @@ def approximate_by_unit(x: NFElement, n: int) -> NFElement:
     if field.unit_rank == 0:
         return field.one()
     nm = x.norm()
-    log_nm = _log_int(abs(nm.numerator)) - _log_int(nm.denominator)
+    log_nm = math.log(abs(nm.numerator)) - math.log(nm.denominator)
     v = log_abs_embedding(x, 0) - log_nm / field.degree
     reg = log_abs_embedding(field.fundamental_unit, 0)
     t = v / reg
@@ -338,7 +321,7 @@ def unit_approximation_deviation(x: NFElement, eps: NFElement, n: int) -> float:
     """max over archimedean v of |log|eps^n x|_v - (1/d) log|Nm(x)||."""
     field = x.field
     nm = x.norm()
-    log_nm = _log_int(abs(nm.numerator)) - _log_int(nm.denominator)
+    log_nm = math.log(abs(nm.numerator)) - math.log(nm.denominator)
     worst = 0.0
     scaled = eps**n * x
     for pl in archimedean_places(field):

@@ -226,17 +226,47 @@ def strip_primes(n: int, primes) -> tuple[int, dict[int, int]]:
     return n, removed
 
 
+def _divide_out(a: int, b: int) -> tuple[int, int]:
+    """(a / b**k, k) for the largest k with b**k | a; b >= 2."""
+    powers = []  # b, b^2, b^4, ... while they divide what is left of a
+    p = b
+    while a % p == 0:
+        a //= p
+        powers.append(p)
+        p *= p
+    k = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if a % powers[i] == 0:
+            a //= powers[i]
+            k += 1 << i
+    return a, k
+
+
 def multiplicative_dependence(x: int, y: int) -> tuple[int, int] | None:
     """Minimal (r, s), r > 0, gcd(r,s) = 1, with |x|**r == |y|**s; None if none.
 
     Both inputs must have |.| >= 2: the trivial cases belong to the caller.
+    Such (r, s) exist iff |x| = b**s and |y| = b**r for one b.  The
+    Euclidean algorithm on those unknown exponents, run by exact division
+    of the values, finds b or refutes it; no root is extracted, so every
+    exponent is found, not only those with small prime factors.
     """
     x, y = abs(x), abs(y)
     if x < 2 or y < 2:
         raise ValueError("multiplicative_dependence needs |x|, |y| >= 2")
-    bx, ex = perfect_power_base(x)
-    by, ey = perfect_power_base(y)
-    if bx != by:
-        return None
-    g = math.gcd(ex, ey)
-    return ey // g, ex // g
+    a, b = max(x, y), min(x, y)
+    quotients = []
+    while True:
+        c, k = _divide_out(a, b)
+        if k == 0:
+            return None
+        quotients.append(k)
+        if c == 1:
+            break
+        a, b = b, c
+    # unwind from b = base^1, c = base^0 back to (max, min) = base^(ea, eb)
+    ea, eb = 1, 0
+    for k in reversed(quotients):
+        ea, eb = eb + k * ea, ea
+    ex, ey = (ea, eb) if x >= y else (eb, ea)
+    return ey, ex

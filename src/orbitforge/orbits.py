@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .constants import A3
 from .fields import FieldSpec, NFElement
@@ -30,12 +29,10 @@ from .intfactor import (
 )
 from .heights import (
     approximate_by_unit,
-    element_bit_size,
     canonical_height,
     height_S_of_inverse,
     height_outside_S_of_inverse,
     height_value,
-    support_lambda,
 )
 from .polynomials import Polynomial, splitting_degree
 
@@ -79,7 +76,7 @@ def iterate_orbit(
     truncated = False
     for _ in range(m):
         nxt = f(its[-1])
-        if element_bit_size(nxt) > bit_cap:
+        if nxt.bit_size() > bit_cap:
             truncated = True
             break
         its.append(nxt)
@@ -92,21 +89,21 @@ def iterate_orbit(
 
 
 def _cycle_scan(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int):
-    """(repeat_found, zero_reappears, values) for the forward orbit."""
+    """(repeat_found, zero_reappears) for the forward orbit."""
     seen = {start: 0}
     vals = [start]
     x = start
     for k in range(1, step_cap + 1):
         x = f(x)
-        if element_bit_size(x) > bit_cap:
-            return None, False, vals
+        if x.bit_size() > bit_cap:
+            return None, False
         if x in seen:
             cycle_start = seen[x]
             cycle = vals[cycle_start:]
-            return True, any(v.is_zero() for v in cycle), vals
+            return True, any(v.is_zero() for v in cycle)
         seen[x] = k
         vals.append(x)
-    return False, False, vals
+    return False, False
 
 
 def is_zero_periodic(
@@ -120,7 +117,7 @@ def is_zero_periodic(
     if f.degree < 2:
         raise ValueError("periodicity predicates need deg f >= 2")
     zero = f.field.zero()
-    found, through_zero, _ = _cycle_scan(f, zero, step_cap, bit_cap)
+    found, through_zero = _cycle_scan(f, zero, step_cap, bit_cap)
     if found:
         return bool(through_zero)
     ch = canonical_height(f, zero, tol=1e-6, bit_cap=bit_cap)
@@ -138,7 +135,7 @@ def is_preperiodic(
     field = f.field
     if not isinstance(alpha, NFElement):
         alpha = field.element(alpha)
-    found, _, _ = _cycle_scan(f, alpha, step_cap, bit_cap)
+    found, _ = _cycle_scan(f, alpha, step_cap, bit_cap)
     if found:
         return True
     ch = canonical_height(f, alpha, tol=1e-6, bit_cap=bit_cap)
@@ -214,79 +211,68 @@ class DependenceWitness:
         }
 
 
+def _orbit_pair(orbit: OrbitRecord, m: int, n: int) -> tuple[NFElement, NFElement]:
+    if m > orbit.length:
+        raise ValueError(f"iterate {m} is past the orbit record (length {orbit.length})")
+    return orbit.iterates[m], orbit.iterates[n]
+
+
 def check_s_integer_ratio(
-    f: Polynomial, alpha, m: int, n: int, S: SSet
+    orbit: OrbitRecord, m: int, n: int, S: SSet
 ) -> DependenceWitness | None:
     """Witness for f^(n)(alpha) = v * f^(m)(alpha) with v an S-integer."""
     if not (m > n >= 0):
         raise ValueError("need m > n >= 0")
-    field = f.field
-    if not isinstance(alpha, NFElement):
-        alpha = field.element(alpha)
-    xm = f.iterate_value(alpha, m)
+    xm, xn = _orbit_pair(orbit, m, n)
     if xm.is_zero():
         raise ZeroDivisionError("f^(m)(alpha) = 0: the ratio is undefined")
-    xn = f.iterate_value(alpha, n)
     v = xn / xm
     if not is_s_integer(v, S):
         return None
     verified = (v * xm) == xn
     return DependenceWitness(
-        "s_integer_ratio", alpha, m, n, v=v, verified=verified
+        "s_integer_ratio", orbit.alpha, m, n, v=v, verified=verified
     )
 
 
-def _ord_vector_outside_S(
-    x: NFElement, S: SSet, budget: int, cache
-) -> dict[tuple, int]:
-    fac = factor_element_ideal(x, budget, cache)
-    return {P.key(): e for P, e in fac.restrict_outside(S).items()}
+def _norm_outside_S(x: NFElement, S: SSet) -> int:
+    """|Nm x| / prod_{P in S} Nm(P)^ord_P(x): the norm of the part of [x]
+    away from S, from exact orders at the ideals of S only."""
+    if not x.is_integral():
+        raise ValueError(
+            "dependence checks need integral iterates: alpha must lie in the "
+            "ring of integers"
+        )
+    out = abs(x.norm().numerator)
+    for P in S.ideals:
+        out //= P.norm ** ord_ideal(x, P)
+    return out
 
 
 def check_power_dependence(
-    f: Polynomial, alpha, m: int, n: int, S: SSet,
-    budget: int = DEFAULT_RHO_BUDGET, cache=None,
+    orbit: OrbitRecord, m: int, n: int, S: SSet
 ) -> DependenceWitness | None:
     """Witness (r, s, u) for (f^(m)(alpha))^r = u (f^(n)(alpha))^s, u an S-unit.
 
-    The order vectors of the two iterates away from S must be proportional
-    over Q.  Over Q itself this is decided exactly through the common
-    perfect-power structure of the S-stripped values, with no factor
-    budget; the quadratic route factors both values.
+    The order vectors of the two integral iterates away from S must be
+    proportional.  If they are, with coprime (r, s), then the norms away
+    from S satisfy N_out(x_m)^r = N_out(x_n)^s, so the norms give the only
+    candidate (r, s) without factoring either iterate; the S-unit test on
+    u = x_m^r / x_n^s rejects the candidates whose vectors are not
+    proportional.  Raises ValueError for a non-integral iterate.
     """
     if not (m > n >= 1):
         raise ValueError("need m > n >= 1")
-    field = f.field
-    if not isinstance(alpha, NFElement):
-        alpha = field.element(alpha)
-    xm = f.iterate_value(alpha, m)
-    xn = f.iterate_value(alpha, n)
+    xm, xn = _orbit_pair(orbit, m, n)
     if xm.is_zero() or xn.is_zero():
         raise ZeroDivisionError("power dependence needs both iterates nonzero")
-
-    rs = None
-    if field.degree == 1 and xm.is_integral() and xn.is_integral():
-        s_primes = S.rational_primes()
-        X, _ = strip_primes(int(xm.a), s_primes)
-        Y, _ = strip_primes(int(xn.a), s_primes)
-        if X == 1:
-            rs = (1, 0)
-        elif Y == 1:
-            rs = (0, 1)
-        else:
-            rs = multiplicative_dependence(X, Y)
+    X, Y = _norm_outside_S(xm, S), _norm_outside_S(xn, S)
+    if X == 1:
+        rs = (1, 0)
+    elif Y == 1:
+        rs = (0, 1)
     else:
-        va = _ord_vector_outside_S(xm, S, budget, cache)
-        vb = _ord_vector_outside_S(xn, S, budget, cache)
-        if not va:
-            rs = (1, 0)
-        elif not vb:
-            rs = (0, 1)
-        elif set(va) == set(vb):
-            ratios = {Fraction(va[k], vb[k]) for k in va}
-            if len(ratios) == 1:
-                ratio = ratios.pop()  # = s/r
-                rs = (ratio.denominator, ratio.numerator)
+        rs = multiplicative_dependence(X, Y)
     if rs is None:
         return None
     r, s = rs
@@ -295,7 +281,7 @@ def check_power_dependence(
         return None
     verified = (xm**r) == (u * xn**s)
     return DependenceWitness(
-        "power_relation", alpha, m, n, r=r, s=s, u=u, verified=verified
+        "power_relation", orbit.alpha, m, n, r=r, s=s, u=u, verified=verified
     )
 
 
@@ -314,21 +300,19 @@ class ZsigmondyResult:
 
 def find_primitive_divisor(
     f: Polynomial, alpha, m: int, k: int,
-    budget: int = DEFAULT_RHO_BUDGET, cache=None,
+    budget: int = DEFAULT_RHO_BUDGET, cache=None, bit_cap: int = DEFAULT_BIT_CAP,
 ) -> ZsigmondyResult:
     """Smallest-norm prime of f^(m)(alpha) absent from the k earlier iterates.
 
     Raises IncompleteFactorization when any of the needed values exceeds
-    the factor budget; the caller decides whether that is a skip.
+    the factor budget; the caller decides whether that is a skip.  Raises
+    ValueError when an iterate up to m passes bit_cap.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    field = f.field
-    if not isinstance(alpha, NFElement):
-        alpha = field.element(alpha)
-    orbit = iterate_orbit(f, alpha, m)
-    if orbit.truncated or orbit.length < m:
-        raise ValueError(f"orbit truncated below m = {m} by the bit cap")
+    orbit = iterate_orbit(f, alpha, m, bit_cap)
+    if orbit.truncated:
+        raise ValueError(f"orbit truncated below m = {m} by the bit cap of {bit_cap} bits")
     xm = orbit.iterates[m]
     if xm.is_zero() or (xm.is_integral() and abs(xm.norm()) == 1):
         raise ValueError("f^(m)(alpha) is a unit or zero: no divisor to find")
@@ -372,40 +356,28 @@ def build_Sk(f: Polynomial, k: int, budget: int = DEFAULT_RHO_BUDGET, cache=None
     return SSet(field, ideals)
 
 
-def support_lambda_of_ratio(
-    xm: NFElement, xn: NFElement, budget: int = DEFAULT_RHO_BUDGET, cache=None
-) -> int:
-    """Largest prime-ideal norm in the positive support of xm / xn."""
-    return support_lambda(xm / xn, budget, cache).lam
-
-
 # ---------------------------------------------------------------------------
 # the divisibility-transfer check behind the ratio witnesses
 # ---------------------------------------------------------------------------
 
 
 def divisibility_transfer_holds(
-    f: Polynomial, witness: DependenceWitness, S: SSet,
-    budget: int = DEFAULT_RHO_BUDGET, cache=None,
+    f: Polynomial, witness: DependenceWitness, S: SSet
 ) -> bool:
-    """Whether the S-free part of [f^(m)(alpha)] divides f^(m-n)(0), exactly."""
+    """Whether the S-free part of [f^(m)(alpha)] divides f^(m-n)(0), exactly.
+
+    For integral f^(m)(alpha) that is the case exactly when
+    f^(m-n)(0) / f^(m)(alpha) is an S-integer, so nothing is factored.
+    """
     if witness.kind != "s_integer_ratio":
         raise ValueError("transfer check applies to ratio witnesses")
-    field = f.field
-    alpha = witness.alpha
-    k = witness.m - witness.n
-    fk0 = f.iterate_value(field.zero(), k)
+    fk0 = f.iterate_value(f.field.zero(), witness.m - witness.n)
     if fk0.is_zero():
         return True
-    xm = f.iterate_value(alpha, witness.m)
-    if field.degree == 1 and xm.is_integral() and fk0.is_integral():
-        X, _ = strip_primes(int(xm.a), S.rational_primes())
-        return int(fk0.a) % X == 0
-    fac = factor_element_ideal(xm, budget, cache)
-    for P, e in fac.restrict_outside(S).items():
-        if e > 0 and ord_ideal(fk0, P) < e:
-            return False
-    return True
+    xm = f.iterate_value(witness.alpha, witness.m)
+    if not xm.is_integral():
+        raise ValueError("the transfer check needs an integral f^(m)(alpha)")
+    return is_s_integer(fk0 / xm, S)
 
 
 # ---------------------------------------------------------------------------

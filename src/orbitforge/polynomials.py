@@ -98,10 +98,6 @@ class Polynomial:
         return " + ".join(terms) if terms else "0"
 
 
-def poly_from_ints(field: FieldSpec, coeffs) -> Polynomial:
-    return Polynomial(field, list(coeffs))
-
-
 def _divmod_poly(num: Polynomial, den: Polynomial):
     field = num.field
     q = [field.zero()] * max(num.degree - den.degree + 1, 1)

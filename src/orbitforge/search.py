@@ -1,10 +1,11 @@
 """Bounded enumeration campaigns over ring elements and orbit pairs.
 
-Campaigns are deterministic: the scan order is fixed, factorization
-failures become explicit skip rows (never silent), and reports serialize
-with sorted keys so equal configurations give byte-identical output.
-Sharding only partitions the element stream; results are merged and
-sorted, so shard_count never changes a report.
+Campaigns are deterministic: the scan order is fixed, cap hits and
+factorization failures become explicit skip rows (never silent), and
+reports serialize with sorted keys so equal configurations give
+byte-identical output.  The dependence scan never factors.
+SearchConfig.shard_count is accepted but the scan is one sequential loop
+whose rows are sorted, so shard_count never changes a report.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 
+from . import __version__
 from .constants import (
     CParams,
     SplittingData,
@@ -24,7 +26,7 @@ from .constants import (
     resolve_splitting,
 )
 from .fields import FieldSpec, NFElement
-from .heights import height_S_of_inverse, height_value, log_abs_embedding
+from .heights import height_S_of_inverse, height_value, log_abs_embedding, support_lambda
 from .ideals import SSet
 from .intfactor import DEFAULT_RHO_BUDGET, IncompleteFactorization
 from .orbits import (
@@ -34,7 +36,6 @@ from .orbits import (
     is_s_unit,
     is_zero_periodic,
     iterate_orbit,
-    support_lambda_of_ratio,
 )
 from .polynomials import Polynomial
 
@@ -55,7 +56,6 @@ class SearchConfig:
     c_params: CParams = dc_field(default_factory=CParams)
     splitting: SplittingData | None = None
     shard_count: int = 1
-    cache: object | None = None
 
     def provenance(self) -> dict:
         """Result-defining inputs only; execution details like shard_count
@@ -79,7 +79,7 @@ class CampaignReport:
     provenance: dict
     rows: list[dict]
     partial: bool
-    version: str = "0.1.0"
+    version: str = __version__
 
     def to_jsonl(self) -> str:
         head = {
@@ -107,20 +107,11 @@ class CampaignReport:
 _H_EPS = 1e-12
 
 
-def enumerate_ring_elements(field: FieldSpec, H: float, cap: int = DEFAULT_ELEMENT_CAP):
-    """All ring integers of height <= H, ordered by (height, coordinates).
-
-    Emits at most cap elements; ring_elements_capped exposes whether the
-    cap actually cut the stream short.
-    """
-    elements, _ = ring_elements_capped(field, H, cap)
-    yield from elements
-
-
 def ring_elements_capped(
     field: FieldSpec, H: float, cap: int = DEFAULT_ELEMENT_CAP
 ) -> tuple[list[NFElement], bool]:
-    """(elements, truncated): the capped stream plus the truncation flag."""
+    """(elements, truncated): the ring integers of height <= H, ordered by
+    (height, coordinates), cut to at most cap, and whether the cap cut."""
     if H < 0:
         raise ValueError("height cap must be >= 0")
     out = []
@@ -171,13 +162,6 @@ def _element_sort_key(x: NFElement):
 # ---------------------------------------------------------------------------
 
 
-def _shards(stream, shard_count: int):
-    shards = [[] for _ in range(max(shard_count, 1))]
-    for i, x in enumerate(stream):
-        shards[i % max(shard_count, 1)].append(x)
-    return shards
-
-
 def search_dependence(cfg: SearchConfig) -> CampaignReport:
     """Scan all alpha up to the height cap and all iterate pairs for
     ratio and power witnesses, each verified by exact resubstitution."""
@@ -193,18 +177,16 @@ def search_dependence(cfg: SearchConfig) -> CampaignReport:
         rows.append({"type": "skip", "alpha": None, "m": None, "n": None,
                      "reason": "element-cap truncated the scan"})
         partial = True
-    shards = _shards(elements, cfg.shard_count)
     collected: list[tuple[tuple, dict]] = []
-    for shard in shards:
-        for alpha in shard:
-            for entry in _scan_alpha(cfg, alpha):
-                key = (
-                    _element_sort_key(alpha),
-                    entry.get("m") or 0,
-                    entry.get("n") or 0,
-                    entry.get("kind") or entry["type"],
-                )
-                collected.append((key, entry))
+    for alpha in elements:
+        for entry in _scan_alpha(cfg, alpha):
+            key = (
+                _element_sort_key(alpha),
+                entry.get("m") or 0,
+                entry.get("n") or 0,
+                entry.get("kind") or entry["type"],
+            )
+            collected.append((key, entry))
     collected.sort(key=lambda kv: kv[0])
     for _, entry in collected:
         if entry["type"] == "skip":
@@ -227,30 +209,15 @@ def _scan_alpha(cfg: SearchConfig, alpha: NFElement):
                 "reason": f"bit-cap at iterate {orbit.length + 1}",
             }
         )
-    top = orbit.length
-    for m in range(1, top + 1):
-        xm = orbit.iterates[m]
+    for m in range(1, orbit.length + 1):
+        if orbit.iterates[m].is_zero():
+            continue
         for n in range(0, m):
-            if not xm.is_zero():
-                w = check_s_integer_ratio(cfg.f, alpha, m, n, cfg.S)
-                if w is not None:
-                    out.append(w.row())
-            if n >= 1 and not xm.is_zero() and not orbit.iterates[n].is_zero():
-                try:
-                    w = check_power_dependence(
-                        cfg.f, alpha, m, n, cfg.S, cfg.factor_budget, cfg.cache
-                    )
-                except IncompleteFactorization:
-                    out.append(
-                        {
-                            "type": "skip",
-                            "alpha": alpha.as_string(),
-                            "m": m,
-                            "n": n,
-                            "reason": "factor-budget",
-                        }
-                    )
-                    continue
+            w = check_s_integer_ratio(orbit, m, n, cfg.S)
+            if w is not None:
+                out.append(w.row())
+            if n >= 1 and not orbit.iterates[n].is_zero():
+                w = check_power_dependence(orbit, m, n, cfg.S)
                 if w is not None:
                     out.append(w.row())
     return out
@@ -325,7 +292,7 @@ def verify_spart_empirical(cfg: SearchConfig, sample_count: int) -> CampaignRepo
     rows = []
     best = None
     count = 0
-    for alpha in enumerate_ring_elements(cfg.field, cfg.height_cap, cfg.element_cap):
+    for alpha in ring_elements_capped(cfg.field, cfg.height_cap, cfg.element_cap)[0]:
         if count >= sample_count:
             break
         val = cfg.f(alpha)
@@ -401,7 +368,7 @@ def lambda_growth_report(
             rows.append({"type": "skip", "m": m, "reason": "zero iterate"})
             continue
         try:
-            lam = support_lambda_of_ratio(xm, xn, budget, cache)
+            lam = support_lambda(xm / xn, budget, cache).lam
         except IncompleteFactorization:
             rows.append({"type": "skip", "m": m, "reason": "factor-budget"})
             continue

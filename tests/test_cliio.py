@@ -208,3 +208,42 @@ def test_cli_search_dependence_partial_flag_and_shards(tmp_path):
     a = open(os.path.join(out1, "search-dependence.jsonl")).read()
     b = open(os.path.join(out4, "search-dependence.jsonl")).read()
     assert a == b
+
+
+def _rows(out, command):
+    return [json.loads(l) for l in open(os.path.join(out, f"{command}.jsonl"))]
+
+
+def test_cli_witness_past_bit_cap_is_a_skip(tmp_path):
+    cfgp = _write_cfg(
+        tmp_path,
+        "[field]\nkind = rational\n\n[poly]\ncoeffs = 3,-1,0,1\n\n[sset]\nideals = 2,3,5\n"
+        "\n[caps]\nbit_cap = 64\n\n[run]\nalpha = 2\nm = 6\nn = 1\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["witness", "--config", cfgp, "--out", out]) == 2
+    rows = _rows(out, "witness")
+    skips = [r for r in rows if r["type"] == "skip"]
+    assert len(skips) == 1 and skips[0]["reason"].startswith("bit-cap")
+    assert skips[0]["m"] == 6 and skips[0]["n"] == 1
+    assert not [r for r in rows if r["type"] in ("witness", "no_witness")]
+
+
+def test_cli_primitive_divisors_honours_bit_cap(tmp_path, capsys):
+    cfgp = _write_cfg(
+        tmp_path,
+        "[field]\nkind = rational\n\n[poly]\ncoeffs = 1,0,1\n\n[sset]\nideals =\n"
+        "\n[caps]\nbit_cap = 64\n\n[run]\nalpha = 1\nm = 8\n",
+    )
+    assert main(["primitive-divisors", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert "bit cap of 64" in capsys.readouterr().err
+
+
+def test_cli_witness_rejects_non_integral_alpha(tmp_path, capsys):
+    cfgp = _write_cfg(
+        tmp_path,
+        "[field]\nkind = rational\n\n[poly]\ncoeffs = 1,0,1\n\n[sset]\nideals = 2\n"
+        "\n[run]\nalpha = 1/2\nm = 2\nn = 1\n",
+    )
+    assert main(["witness", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert "integral" in capsys.readouterr().err

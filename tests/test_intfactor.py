@@ -84,3 +84,7 @@ def test_multiplicative_dependence():
     assert multiplicative_dependence(49, 7) == (1, 2)
     r, s = multiplicative_dependence(12**5, 12**3)
     assert (r, s) == (3, 5)
+    # exponents with a prime factor above 31
+    assert multiplicative_dependence(3**37, 3) == (1, 37)
+    assert multiplicative_dependence(7**2, 7**106) == (53, 1)
+    assert multiplicative_dependence(3**37 * 2, 3) is None

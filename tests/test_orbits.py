@@ -12,9 +12,10 @@ from orbitforge.heights import (
     height_outside_S_of_inverse,
     height_value,
 )
-from orbitforge.ideals import SSet, factor_rational_prime, ord_ideal
+from orbitforge.ideals import PrimeIdealRec, SSet, factor_rational_prime, ord_ideal
 from orbitforge.orbits import (
     GeneratorSearchError,
+    OrbitRecord,
     build_Sk,
     check_power_dependence,
     check_s_integer_ratio,
@@ -33,6 +34,8 @@ from orbitforge.polynomials import Polynomial
 
 Q = make_field("rational")
 F2 = make_field("quadratic", 2)
+F5 = make_field("quadratic", 5)
+Fm1 = make_field("quadratic", -1)
 Fm5 = make_field("quadratic", -5)
 
 F_SQ1 = Polynomial(Q, [1, 0, 1])     # x^2 + 1
@@ -96,38 +99,38 @@ def test_s_integer_and_s_unit_predicates():
 
 def test_ratio_witness_examples():
     S2 = S_of(Q, 2)
-    w = check_s_integer_ratio(F_SQ, 2, 2, 1, S2)
+    w = check_s_integer_ratio(iterate_orbit(F_SQ, 2, 2), 2, 1, S2)
     assert w is not None and w.v == Fraction(1, 4) and w.verified
-    assert check_s_integer_ratio(F_SQ, 2, 2, 1, SSet(Q, [])) is None
+    assert check_s_integer_ratio(iterate_orbit(F_SQ, 2, 2), 2, 1, SSet(Q, [])) is None
     # zero numerator: v = 0 is an S-integer
-    w0 = check_s_integer_ratio(F_SQM1, 1, 2, 1, SSet(Q, []))
+    w0 = check_s_integer_ratio(iterate_orbit(F_SQM1, 1, 2), 2, 1, SSet(Q, []))
     assert w0 is not None and w0.v == 0 and w0.verified
     with pytest.raises(ValueError):
-        check_s_integer_ratio(F_SQ, 2, 1, 1, S2)
+        check_s_integer_ratio(iterate_orbit(F_SQ, 2, 1), 1, 1, S2)
 
 
 def test_ratio_witness_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        check_s_integer_ratio(F_SQM1, 1, 3, 1, SSet(Q, []))  # f^(3)(1) = 0
+        check_s_integer_ratio(iterate_orbit(F_SQM1, 1, 3), 3, 1, SSet(Q, []))  # f^(3)(1) = 0
 
 
 def test_power_witness_examples():
     S_inf = SSet(Q, [])
-    w = check_power_dependence(F_SQ, 2, 2, 1, S_inf)
+    w = check_power_dependence(iterate_orbit(F_SQ, 2, 2), 2, 1, S_inf)
     assert w is not None and (w.r, w.s) == (1, 2) and w.u == 1 and w.verified
-    assert check_power_dependence(F_SQ1, 1, 2, 1, S_inf) is None
+    assert check_power_dependence(iterate_orbit(F_SQ1, 1, 2), 2, 1, S_inf) is None
     # both values S-units: (1, 0) convention with u the later iterate
     S25 = S_of(Q, 2, 5)
-    w2 = check_power_dependence(F_SQ1, 1, 2, 1, S25)
+    w2 = check_power_dependence(iterate_orbit(F_SQ1, 1, 2), 2, 1, S25)
     assert w2 is not None and (w2.r, w2.s) == (1, 0) and w2.u == 5
     # only the m-side is an S-unit
-    w3 = check_power_dependence(F_SQ1, 1, 2, 1, S_of(Q, 5))
+    w3 = check_power_dependence(iterate_orbit(F_SQ1, 1, 2), 2, 1, S_of(Q, 5))
     assert w3 is not None and (w3.r, w3.s) == (1, 0)
     # only the n-side is an S-unit: (0, 1), u = 1/f^(n)(alpha)
-    w4 = check_power_dependence(F_SQ1, 1, 2, 1, S_of(Q, 2))
+    w4 = check_power_dependence(iterate_orbit(F_SQ1, 1, 2), 2, 1, S_of(Q, 2))
     assert w4 is not None and (w4.r, w4.s) == (0, 1) and w4.u == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
-        check_power_dependence(F_SQM1, 1, 3, 1, S_inf)
+        check_power_dependence(iterate_orbit(F_SQM1, 1, 3), 3, 1, S_inf)
 
 
 def _oracle_power_scan(xm, xn, s_primes):
@@ -169,7 +172,7 @@ def test_power_witness_against_bruteforce_oracle():
                         xn = f.iterate_value(Q.element(a), n)
                         if xm.is_zero() or xn.is_zero():
                             continue
-                        w = check_power_dependence(f, a, m, n, S)
+                        w = check_power_dependence(iterate_orbit(f, a, m), m, n, S)
                         oracle = _oracle_power_scan(int(xm.a), int(xn.a), primes)
                         if w is not None:
                             # library witness must re-substitute exactly
@@ -184,10 +187,118 @@ def test_power_witness_quadratic_route():
     S_inf = SSet(F2, [])
     x = F2.element(3, 1)
     f = Polynomial(F2, [F2.element(0), F2.element(0), F2.element(1)])  # x^2
-    w = check_power_dependence(f, x, 2, 1, S_inf)
+    w = check_power_dependence(iterate_orbit(f, x, 2), 2, 1, S_inf)
     assert w is not None and (w.r, w.s) == (1, 2)
     assert (f.iterate_value(x, 2) ** w.r) == w.u * f.iterate_value(x, 1) ** w.s
     assert is_s_unit(w.u, S_inf)
+
+
+# ---------------------------------------------------------------------------
+# the factoring reference for the factor-free dependence route: order
+# vectors away from S from sympy's factorization of the norm
+# ---------------------------------------------------------------------------
+
+
+def _oracle_ideals_above(field, p):
+    """Prime ideals above p in the library's conventions, split by sqrt_mod."""
+    if field.degree == 1:
+        return [PrimeIdealRec(field, p, 1, 1, "rational", None)]
+    # w^2 + t1*w + t0 = 0
+    t0, t1 = (-(field.D - 1) // 4, -1) if field.D % 4 == 1 else (-field.D, 0)
+    if p == 2:
+        roots = [c for c in (0, 1) if (c * c + t1 * c + t0) % 2 == 0]
+    else:
+        half = pow(2, -1, p)
+        roots = sorted(
+            {(r - t1) * half % p for r in sympy.sqrt_mod(t1 * t1 - 4 * t0, p, all_roots=True)}
+        )
+    if not roots:
+        return [PrimeIdealRec(field, p, 1, 2, "inert", None)]
+    if len(roots) == 1:
+        return [PrimeIdealRec(field, p, 2, 1, "ramified", roots[0])]
+    return [
+        PrimeIdealRec(field, p, 1, 1, "split-a", roots[0]),
+        PrimeIdealRec(field, p, 1, 1, "split-b", roots[1]),
+    ]
+
+
+def _oracle_ord_vector(x, S):
+    """{P: ord_P(x)} over the ideals P outside S where x has nonzero order."""
+    vec = {}
+    for p in sympy.factorint(abs(int(x.norm()))):
+        for P in _oracle_ideals_above(x.field, p):
+            if not S.contains_ideal(P) and ord_ideal(x, P):
+                vec[P] = ord_ideal(x, P)
+    return vec
+
+
+def _oracle_power_rs(xm, xn, S):
+    """(r, s) when the order vectors away from S are proportional, else None."""
+    va, vb = _oracle_ord_vector(xm, S), _oracle_ord_vector(xn, S)
+    if not va:
+        return (1, 0)
+    if not vb:
+        return (0, 1)
+    if set(va) != set(vb):
+        return None
+    ratios = {Fraction(va[P], vb[P]) for P in va}
+    if len(ratios) != 1:
+        return None
+    ratio = ratios.pop()  # = s/r
+    return (ratio.denominator, ratio.numerator)
+
+
+def _oracle_transfer(f, w, S):
+    fk0 = f.iterate_value(f.field.zero(), w.m - w.n)
+    if fk0.is_zero():
+        return True
+    xm = f.iterate_value(w.alpha, w.m)
+    return all(ord_ideal(fk0, P) >= e for P, e in _oracle_ord_vector(xm, S).items())
+
+
+def _one_split_ideal(field):
+    return next(
+        P for p in sympy.primerange(3, 30) for P in factor_rational_prime(field, p)
+        if P.kind == "split-a"
+    )
+
+
+def test_power_dependence_matches_factoring_oracle():
+    found = missed = 0
+    for field in (F2, F5, Fm1, Fm5):
+        s_sets = (S_of(field, 2, 3), SSet(field, [_one_split_ideal(field)]))
+        for coeffs in ([3, -1, 0, 1], [1, 0, 1]):
+            f = Polynomial(field, coeffs)
+            for a in (-1, 0, 1):
+                for b in (-1, 0, 1):
+                    orbit = iterate_orbit(f, field.element(a, b), 3)
+                    for m in (2, 3):
+                        for n in range(1, m):
+                            xm, xn = orbit.iterates[m], orbit.iterates[n]
+                            if xm.is_zero() or xn.is_zero():
+                                continue
+                            for S in s_sets:
+                                w = check_power_dependence(orbit, m, n, S)
+                                got = None if w is None else (w.r, w.s)
+                                assert got == _oracle_power_rs(xm, xn, S), (
+                                    field, coeffs, a, b, m, n, S
+                                )
+                                if w is None:
+                                    missed += 1
+                                    continue
+                                found += 1
+                                assert w.verified and is_s_unit(w.u, S)
+    assert found and missed
+
+
+def test_power_dependence_equal_norms_not_proportional():
+    # 2+i and 2-i both have norm 5, but lie in the two different ideals
+    # above 5: the norms agree while the order vectors are not proportional
+    x, y = Fm1.element(2, 1), Fm1.element(2, -1)
+    orbit = OrbitRecord(Fm1.one(), [Fm1.one(), x, y], False)
+    S_inf = SSet(Fm1, [])
+    assert _oracle_power_rs(y, x, S_inf) is None
+    assert check_power_dependence(orbit, 2, 1, S_inf) is None
 
 
 def test_find_primitive_divisor_examples():
@@ -237,11 +348,28 @@ def test_divisibility_transfer_on_witnesses():
         for m in range(1, 5):
             for n in range(0, m):
                 try:
-                    w = check_s_integer_ratio(F_CUBE, a, m, n, S235)
+                    w = check_s_integer_ratio(iterate_orbit(F_CUBE, a, m), m, n, S235)
                 except ZeroDivisionError:
                     continue
                 if w is not None:
                     assert divisibility_transfer_holds(F_CUBE, w, S235)
+    checked = 0
+    for field in (F2, Fm5):
+        S = S_of(field, 2, 3, 5)
+        f = Polynomial(field, [3, -1, 0, 1])
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                orbit = iterate_orbit(f, field.element(a, b), 3)
+                for m in range(1, 4):
+                    if orbit.iterates[m].is_zero():
+                        continue
+                    for n in range(0, m):
+                        w = check_s_integer_ratio(orbit, m, n, S)
+                        if w is not None:
+                            assert divisibility_transfer_holds(f, w, S)
+                            assert _oracle_transfer(f, w, S)
+                            checked += 1
+    assert checked
 
 
 def test_principal_generator_examples():

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,13 @@ import pytest
 from orbitforge.constants import SplittingData
 from orbitforge.fields import make_field
 from orbitforge.ideals import SSet, factor_rational_prime
+from orbitforge.orbits import is_zero_periodic
 from orbitforge.polynomials import Polynomial
 from orbitforge.search import (
     CampaignReport,
     SearchConfig,
-    enumerate_ring_elements,
     lambda_growth_report,
+    ring_elements_capped,
     search_dependence,
     search_sunit_orbit_values,
     verify_spart_empirical,
@@ -26,10 +28,10 @@ def S_of(field, *primes):
 
 
 def test_enumerate_rational():
-    got = [x.a for x in enumerate_ring_elements(Q, math.log(3))]
+    got = [x.a for x in ring_elements_capped(Q, math.log(3))[0]]
     assert sorted(got) == [-3, -2, -1, 0, 1, 2, 3]
     assert len(got) == 7
-    got0 = [x.a for x in enumerate_ring_elements(Q, 0.0)]
+    got0 = [x.a for x in ring_elements_capped(Q, 0.0)[0]]
     assert sorted(got0) == [-1, 0, 1]
     # ordering: height first, then coordinates
     assert got[:3] == [-1, 0, 1]
@@ -37,10 +39,10 @@ def test_enumerate_rational():
 
 
 def test_enumerate_quadratic_height_zero():
-    got = list(enumerate_ring_elements(F2, 0.0))
+    got = list(ring_elements_capped(F2, 0.0)[0])
     assert sorted((x.a, x.b) for x in got) == [(-1, 0), (0, 0), (1, 0)]
     Fm5 = make_field("quadratic", -5)
-    got5 = list(enumerate_ring_elements(Fm5, 0.0))
+    got5 = list(ring_elements_capped(Fm5, 0.0)[0])
     assert sorted((x.a, x.b) for x in got5) == [(-1, 0), (0, 0), (1, 0)]
 
 
@@ -48,7 +50,7 @@ def test_enumerate_quadratic_exact_height_filter():
     from orbitforge.heights import height_value
 
     H = 0.7
-    got = list(enumerate_ring_elements(F2, H))
+    got = list(ring_elements_capped(F2, H)[0])
     assert F2.element(1, 1) in got  # h = R/2 ~ 0.4407
     for x in got:
         if not x.is_zero():
@@ -58,10 +60,8 @@ def test_enumerate_quadratic_exact_height_filter():
 
 
 def test_enumerate_cap_truncates():
-    got = list(enumerate_ring_elements(Q, 10.0, cap=11))
+    got = list(ring_elements_capped(Q, 10.0, cap=11)[0])
     assert len(got) == 11
-    from orbitforge.search import ring_elements_capped
-
     els, truncated = ring_elements_capped(Q, 10.0, cap=11)
     assert truncated and len(els) == 11
     els2, t2 = ring_elements_capped(Q, 1.0, cap=10**6)
@@ -74,7 +74,7 @@ def test_enumerate_half_integral_field_complete():
 
     for D, H in ((5, 2.0), (13, 1.5), (-3, 1.2)):
         F = make_field("quadratic", D)
-        got = {(x.a, x.b) for x in enumerate_ring_elements(F, H)}
+        got = {(x.a, x.b) for x in ring_elements_capped(F, H)[0]}
         expect = set()
         for a in range(-60, 61):
             for b in range(-60, 61):
@@ -209,10 +209,44 @@ def test_campaign_contains_known_power_witness():
         search_dependence(cfg)  # 0 is fixed by x^2: zero-periodic
     # shift to x^2 + 2 which is 3-distinct-rootless... use the campaign op on
     # the plain checker instead for x^2 at alpha=2:
-    from orbitforge.orbits import check_power_dependence
+    from orbitforge.orbits import check_power_dependence, iterate_orbit
 
-    w = check_power_dependence(Polynomial(Q, [0, 0, 1]), 2, 2, 1, SSet(Q, []))
+    w = check_power_dependence(iterate_orbit(Polynomial(Q, [0, 0, 1]), 2, 2), 2, 1, SSet(Q, []))
     assert (w.r, w.s, w.u.a) == (1, 2, 1)
+
+
+def test_dependence_search_never_factors_and_evaluates_each_iterate_once(monkeypatch):
+    fields = [make_field("quadratic", D) for D in (2, 5, -1, -5)]  # built before patching
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dependence search factored a value")
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "orbitforge" or name.startswith("orbitforge.")):
+            for attr in ("factor_element_ideal", "factorize"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
+    evals = [0]
+    plain_call = Polynomial.__call__
+
+    def counted_call(self, x):
+        evals[0] += 1
+        return plain_call(self, x)
+
+    monkeypatch.setattr(Polynomial, "__call__", counted_call)
+    for F in fields:
+        f = Polynomial(F, [3, -1, 0, 1])
+        evals[0] = 0
+        is_zero_periodic(f)
+        zero_scan = evals[0]
+        # splitting data supplied: the bound annotation evaluates nothing
+        cfg = SearchConfig(field=F, f=f, S=S_of(F, 2, 3, 5), height_cap=1.0, m_max=2,
+                           splitting=SplittingData(6, 1, None, "config"))
+        alphas = len(ring_elements_capped(F, cfg.height_cap)[0])
+        evals[0] = 0
+        rep = search_dependence(cfg)
+        assert not rep.skip_rows() and rep.witness_rows()
+        assert evals[0] <= alphas * cfg.m_max + zero_scan, F
 
 
 def test_sunit_scan_matches_hand_enumeration():
