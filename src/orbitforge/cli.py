@@ -92,7 +92,7 @@ def write_report(report: CampaignReport, out_dir: str, name: str):
     return jpath, cpath
 
 
-def _search_config(cfg: RunConfig, shards: int = 1) -> SearchConfig:
+def _search_config(cfg: RunConfig) -> SearchConfig:
     return SearchConfig(
         field=cfg.field,
         f=cfg.poly,
@@ -104,7 +104,6 @@ def _search_config(cfg: RunConfig, shards: int = 1) -> SearchConfig:
         element_cap=cfg.element_cap,
         c_params=cfg.c_params,
         splitting=cfg.splitting_override(),
-        shard_count=shards,
     )
 
 
@@ -131,7 +130,7 @@ def _provenance_report(cfg: RunConfig, kind: str, rows, partial: bool) -> Campai
 # ---------------------------------------------------------------------------
 
 
-def _cmd_heights(cfg: RunConfig, shards, cache):
+def _cmd_heights(cfg: RunConfig, cache):
     x = _alpha(cfg)
     hb = height(x, cfg.factor_budget, cache)
     rows = [
@@ -157,7 +156,7 @@ def _cmd_heights(cfg: RunConfig, shards, cache):
     return _provenance_report(cfg, "heights", rows, False)
 
 
-def _cmd_constants(cfg: RunConfig, shards, cache):
+def _cmd_constants(cfg: RunConfig, cache):
     field = cfg.field
     s, t, P, Q, T = sset_params(cfg.S)
     rows = [
@@ -176,7 +175,9 @@ def _cmd_constants(cfg: RunConfig, shards, cache):
         }
     ]
     if cfg.poly is not None:
-        zp = is_zero_periodic(cfg.poly)
+        zp = is_zero_periodic(cfg.poly, bit_cap=cfg.bit_cap)
+        if zp is None:
+            raise ValueError(f"0-periodicity unknown within the bit cap of {cfg.bit_cap} bits")
         sp = cfg.splitting_override() or resolve_splitting(field, cfg.poly)
         rep = northcott_bound(field, cfg.poly, cfg.S, cfg.c_params, sp, zero_periodic=zp)
         rows.extend(rep.rows())
@@ -194,7 +195,7 @@ def _cmd_constants(cfg: RunConfig, shards, cache):
     return _provenance_report(cfg, "constants", rows, False)
 
 
-def _cmd_orbit(cfg: RunConfig, shards, cache):
+def _cmd_orbit(cfg: RunConfig, cache):
     x = _alpha(cfg)
     m = int(cfg.run_options.get("m", cfg.m_max))
     orb = iterate_orbit(cfg.poly, x, m, cfg.bit_cap)
@@ -217,7 +218,7 @@ def _cmd_orbit(cfg: RunConfig, shards, cache):
     return _provenance_report(cfg, "orbit", rows, partial)
 
 
-def _cmd_witness(cfg: RunConfig, shards, cache):
+def _cmd_witness(cfg: RunConfig, cache):
     x = _alpha(cfg)
     m = int(_need(cfg, "m"))
     n = int(_need(cfg, "n"))
@@ -236,16 +237,16 @@ def _cmd_witness(cfg: RunConfig, shards, cache):
     return _provenance_report(cfg, "witness", rows, False)
 
 
-def _cmd_search_dependence(cfg: RunConfig, shards, cache):
-    return search_dependence(_search_config(cfg, shards))
+def _cmd_search_dependence(cfg: RunConfig, cache):
+    return search_dependence(_search_config(cfg))
 
 
-def _cmd_sunit_scan(cfg: RunConfig, shards, cache):
+def _cmd_sunit_scan(cfg: RunConfig, cache):
     n_max = int(cfg.run_options.get("n_max", cfg.m_max))
-    return search_sunit_orbit_values(_search_config(cfg, shards), n_max)
+    return search_sunit_orbit_values(_search_config(cfg), n_max)
 
 
-def _cmd_primitive_divisors(cfg: RunConfig, shards, cache):
+def _cmd_primitive_divisors(cfg: RunConfig, cache):
     x = _alpha(cfg)
     m = int(_need(cfg, "m"))
     k = int(cfg.run_options.get("k", m))
@@ -271,7 +272,7 @@ def _cmd_primitive_divisors(cfg: RunConfig, shards, cache):
     return _provenance_report(cfg, "primitive-divisors", rows, partial)
 
 
-def _cmd_lambda_report(cfg: RunConfig, shards, cache):
+def _cmd_lambda_report(cfg: RunConfig, cache):
     x = _alpha(cfg)
     n = int(cfg.run_options.get("n", 0))
     m_max = int(cfg.run_options.get("m", cfg.m_max))
@@ -282,7 +283,7 @@ def _cmd_lambda_report(cfg: RunConfig, shards, cache):
     return _provenance_report(cfg, "lambda-report", rows, partial)
 
 
-def _cmd_verify_spart(cfg: RunConfig, shards, cache):
+def _cmd_verify_spart(cfg: RunConfig, cache):
     rows = []
     partial = False
     if "alpha" in cfg.run_options:
@@ -295,7 +296,7 @@ def _cmd_verify_spart(cfg: RunConfig, shards, cache):
             partial = True
     n_samples = int(cfg.run_options.get("sample_count", 0))
     if n_samples > 0:
-        rep = verify_spart_empirical(_search_config(cfg, shards), n_samples)
+        rep = verify_spart_empirical(_search_config(cfg), n_samples)
         rows.extend(rep.rows)
     rep = _provenance_report(cfg, "verify-spart", rows, partial)
     return rep
@@ -314,12 +315,12 @@ _HANDLERS = {
 }
 
 
-def run_command(name: str, cfg: RunConfig, out_dir: str, shards: int = 1, cache=None) -> int:
+def run_command(name: str, cfg: RunConfig, out_dir: str, cache=None) -> int:
     if name not in _HANDLERS:
         raise ConfigError(f"unknown command {name!r}")
     if cfg.poly is None and name not in ("heights", "constants"):
         raise ConfigError(f"{name} needs [poly]")
-    report = _HANDLERS[name](cfg, shards, cache)
+    report = _HANDLERS[name](cfg, cache)
     write_report(report, out_dir, name)
     partial = report.partial or any(r.get("type") == "skip" for r in report.rows)
     return 2 if partial else 0
@@ -333,14 +334,13 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", required=True, help="INI run configuration")
     ap.add_argument("--out", default=None, help="output directory (default: config [output] dir or .)")
-    ap.add_argument("--shards", type=int, default=1)
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.output_dir or "."
         cache_path = default_cache_path()
         cache = FactorCache(cache_path) if cache_path else None
-        code = run_command(args.command, cfg, out_dir, args.shards, cache)
+        code = run_command(args.command, cfg, out_dir, cache)
         return code
     except (ConfigError, FieldError, ValueError, ArithmeticError, OSError) as exc:
         print(f"orbitforge: error: {exc}", file=sys.stderr)

@@ -53,13 +53,6 @@ class PrimeIdealRec:
     def local_degree(self) -> int:
         return self.e * self.f
 
-    def two_element_rep(self):
-        if self.kind == "rational":
-            return (self.p,)
-        if self.kind == "inert":
-            return (self.p,)
-        return (self.p, f"w - {self.root}")
-
     def key(self) -> tuple:
         return (self.p, self.kind)
 
@@ -84,12 +77,10 @@ def factor_rational_prime(field: FieldSpec, p: int) -> list[PrimeIdealRec]:
     if sym == -1:
         out = [PrimeIdealRec(field, p, 1, 2, "inert", None)]
     elif sym == 0:
-        c = _minpoly_root_mod(field, p)
+        (c,) = _minpoly_roots_mod(field, p)
         out = [PrimeIdealRec(field, p, 2, 1, "ramified", c)]
     else:
-        c1 = _minpoly_root_mod(field, p)
-        c2 = _other_root(field, c1, p)
-        lo, hi = sorted((c1, c2))
+        lo, hi = _minpoly_roots_mod(field, p)
         out = [
             PrimeIdealRec(field, p, 1, 1, "split-a", lo),
             PrimeIdealRec(field, p, 1, 1, "split-b", hi),
@@ -105,18 +96,39 @@ def _minpoly_coeffs(field: FieldSpec) -> tuple[int, int]:
     return -field.D, 0
 
 
-def _minpoly_root_mod(field: FieldSpec, p: int) -> int:
-    """Smallest nonnegative root of the minimal polynomial of w mod p."""
-    t0, t1 = _minpoly_coeffs(field)
-    for c in range(p):
-        if (c * c + t1 * c + t0) % p == 0:
-            return c
-    raise ArithmeticError(f"no root mod {p}; splitting type misclassified")
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo an odd prime p (Tonelli-Shanks, Cohen 1.5.1)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, r = p - 1, 0
+    while q % 2 == 0:
+        q, r = q // 2, r + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    y = pow(z, q, p)
+    x, b = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:
+        m, t = 1, b * b % p
+        while t != 1:
+            m, t = m + 1, t * t % p
+        if m == r:
+            raise ArithmeticError(f"{a} is not a square mod {p}")
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
 
 
-def _other_root(field: FieldSpec, c: int, p: int) -> int:
+def _minpoly_roots_mod(field: FieldSpec, p: int) -> list[int]:
+    """The distinct roots of the minimal polynomial of w mod p, ascending."""
     t0, t1 = _minpoly_coeffs(field)
-    return (-t1 - c) % p
+    if p == 2:
+        return [c for c in (0, 1) if (c * c + t1 * c + t0) % 2 == 0]
+    s = _sqrt_mod(t1 * t1 - 4 * t0, p)
+    half = (p + 1) // 2
+    return sorted({(-t1 + s) * half % p, (-t1 - s) * half % p})
 
 
 def _hensel_lift(field: FieldSpec, P: PrimeIdealRec, prec: int) -> tuple[int, int]:
@@ -339,9 +351,6 @@ class IdealFactorization:
 
     def positive_part(self) -> dict[PrimeIdealRec, int]:
         return {P: e for P, e in self.entries.items() if e > 0}
-
-    def restrict_outside(self, S: SSet) -> dict[PrimeIdealRec, int]:
-        return {P: e for P, e in self.entries.items() if not S.contains_ideal(P)}
 
     def items(self):
         return sorted(self.entries.items(), key=lambda kv: (kv[0].p, kv[0].kind))

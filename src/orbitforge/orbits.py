@@ -29,10 +29,10 @@ from .intfactor import (
 )
 from .heights import (
     approximate_by_unit,
-    canonical_height,
     height_S_of_inverse,
     height_outside_S_of_inverse,
     height_value,
+    one_step_bound,
 )
 from .polynomials import Polynomial, splitting_degree
 
@@ -88,22 +88,32 @@ def iterate_orbit(
 # ---------------------------------------------------------------------------
 
 
-def _cycle_scan(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int):
-    """(repeat_found, zero_reappears) for the forward orbit."""
-    seen = {start: 0}
-    vals = [start]
+def _orbit_walk(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int) -> int | None:
+    """The index where a repeat re-enters the orbit of start (finite orbit);
+    -1 once h(x_k)/deg^k > 2B/((deg-1) deg^k) certifies a positive canonical
+    height (infinite orbit); None at step_cap or bit_cap.  B = one_step_bound
+    is computed when the first iterate of positive height needs the test."""
+    n = f.degree
+    if n < 2:
+        raise ValueError("periodicity predicates need deg f >= 2")
+    B = None
+    seen: dict[NFElement, int] = {}
     x = start
-    for k in range(1, step_cap + 1):
-        x = f(x)
+    for k in range(step_cap + 1):
+        if k:
+            x = f(x)
         if x.bit_size() > bit_cap:
-            return None, False
+            return None
         if x in seen:
-            cycle_start = seen[x]
-            cycle = vals[cycle_start:]
-            return True, any(v.is_zero() for v in cycle)
+            return seen[x]
         seen[x] = k
-        vals.append(x)
-    return False, False
+        h = height_value(x)
+        if h > 0:
+            if B is None:
+                B = one_step_bound(f)
+            if h / n**k > 2 * B / ((n - 1) * n**k):
+                return -1
+    return None
 
 
 def is_zero_periodic(
@@ -114,34 +124,18 @@ def is_zero_periodic(
     A detected cycle answers exactly.  Without one, a positive canonical
     height of 0 (beyond twice its certified error) rules periodicity out.
     """
-    if f.degree < 2:
-        raise ValueError("periodicity predicates need deg f >= 2")
-    zero = f.field.zero()
-    found, through_zero = _cycle_scan(f, zero, step_cap, bit_cap)
-    if found:
-        return bool(through_zero)
-    ch = canonical_height(f, zero, tol=1e-6, bit_cap=bit_cap)
-    if ch.value > 2 * ch.error_bound:
-        return False
-    return None
+    entry = _orbit_walk(f, f.field.zero(), step_cap, bit_cap)
+    return None if entry is None else entry == 0
 
 
 def is_preperiodic(
     f: Polynomial, alpha, step_cap: int = CYCLE_STEP_CAP, bit_cap: int = DEFAULT_BIT_CAP
 ) -> bool | None:
     """Whether alpha has a finite forward orbit; None when undecided."""
-    if f.degree < 2:
-        raise ValueError("periodicity predicates need deg f >= 2")
-    field = f.field
     if not isinstance(alpha, NFElement):
-        alpha = field.element(alpha)
-    found, _ = _cycle_scan(f, alpha, step_cap, bit_cap)
-    if found:
-        return True
-    ch = canonical_height(f, alpha, tol=1e-6, bit_cap=bit_cap)
-    if ch.value > 2 * ch.error_bound:
-        return False
-    return None
+        alpha = f.field.element(alpha)
+    entry = _orbit_walk(f, alpha, step_cap, bit_cap)
+    return None if entry is None else entry >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +186,6 @@ class DependenceWitness:
     s: int | None = None
     u: NFElement | None = None
     verified: bool = False
-
-    def sort_key(self):
-        return (self.m, self.n, self.kind)
 
     def row(self) -> dict:
         return {

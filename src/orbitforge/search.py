@@ -4,8 +4,6 @@ Campaigns are deterministic: the scan order is fixed, cap hits and
 factorization failures become explicit skip rows (never silent), and
 reports serialize with sorted keys so equal configurations give
 byte-identical output.  The dependence scan never factors.
-SearchConfig.shard_count is accepted but the scan is one sequential loop
-whose rows are sorted, so shard_count never changes a report.
 """
 
 from __future__ import annotations
@@ -45,6 +43,8 @@ DEFAULT_M_MAX = 8
 
 @dataclass
 class SearchConfig:
+    """Campaign inputs; shard_count is ignored (one sequential scan, sorted rows)."""
+
     field: FieldSpec
     f: Polynomial
     S: SSet
@@ -165,9 +165,9 @@ def _element_sort_key(x: NFElement):
 def search_dependence(cfg: SearchConfig) -> CampaignReport:
     """Scan all alpha up to the height cap and all iterate pairs for
     ratio and power witnesses, each verified by exact resubstitution."""
-    zp = is_zero_periodic(cfg.f)
+    zp = is_zero_periodic(cfg.f, bit_cap=cfg.bit_cap)
     if zp is None:
-        raise ValueError("0-periodicity unknown: refusing to run the campaign")
+        raise ValueError(f"0-periodicity unknown within the bit cap of {cfg.bit_cap} bits")
     if zp:
         raise ValueError("campaign requires 0 not periodic for f")
     rows: list[dict] = []

@@ -204,7 +204,7 @@ def test_cli_search_dependence_partial_flag_and_shards(tmp_path):
     out1 = str(tmp_path / "o1")
     out4 = str(tmp_path / "o4")
     assert main(["search-dependence", "--config", cfgp, "--out", out1]) == 0
-    assert main(["search-dependence", "--config", cfgp, "--out", out4, "--shards", "4"]) == 0
+    assert main(["search-dependence", "--config", cfgp, "--out", out4]) == 0
     a = open(os.path.join(out1, "search-dependence.jsonl")).read()
     b = open(os.path.join(out4, "search-dependence.jsonl")).read()
     assert a == b
@@ -247,3 +247,17 @@ def test_cli_witness_rejects_non_integral_alpha(tmp_path, capsys):
     )
     assert main(["witness", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     assert "integral" in capsys.readouterr().err
+
+
+def test_cli_zero_periodicity_honours_bit_cap(tmp_path, capsys):
+    # the certificate for x^3 - x + 3 needs f^3(0) = 19659, a 15-bit value
+    cfgp = _write_cfg(
+        tmp_path,
+        "[field]\nkind = rational\n\n[poly]\ncoeffs = 3,-1,0,1\n"
+        "splitting_degree = 6\nclass_number_l = 1\n\n[sset]\nideals = 2,3,5\n"
+        "\n[caps]\nheight_cap = 2.0\nm_max = 2\nbit_cap = 8\n",
+    )
+    for command in ("search-dependence", "constants"):
+        assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "0-periodicity unknown" in err and "bit cap of 8" in err, command

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from orbitforge.fields import make_field
 from orbitforge.ideals import (
@@ -47,6 +49,19 @@ def test_splitting_completeness_all_small_primes():
         for p in sieve_primes(1000):
             parts = ideals_above(F, p)
             assert sum(P.e * P.f for P in parts) == 2, (D, p)
+
+
+def test_large_split_prime_splits_by_square_root():
+    F2 = make_field("quadratic", 2)
+    p = sympy.nextprime(10**12)
+    while p % 8 not in (1, 7):  # 2 is a square mod p: p splits in Q(sqrt 2)
+        p = sympy.nextprime(p)
+    t0 = time.perf_counter()
+    split = factor_rational_prime(F2, p)
+    elapsed = time.perf_counter() - t0
+    assert [P.kind for P in split] == ["split-a", "split-b"]
+    assert [P.root for P in split] == sorted(sympy.sqrt_mod(2, p, all_roots=True))
+    assert elapsed < 0.01
 
 
 def test_factor_rational_prime_rejects_composite():

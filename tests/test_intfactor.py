@@ -63,10 +63,13 @@ def test_budget_exhaustion_explicit():
 def test_iroot_and_perfect_power():
     assert iroot(10**18, 3) == (10**6, True)
     assert iroot(10**18 + 5, 3) == (10**6, False)
+    assert iroot((2**70 + 3) ** 5 - 1, 5) == (2**70 + 2, False)
+    assert iroot(3**1000, 1000) == (3, True)
     assert perfect_power_base(64) == (2, 6)
     assert perfect_power_base(729) == (3, 6)
     assert perfect_power_base(7) == (7, 1)
     assert perfect_power_base(36) == (6, 2)
+    assert perfect_power_base(3**37) == (3, 37)
 
 
 def test_strip_primes():

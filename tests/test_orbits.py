@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from orbitforge.constants import A3
 from orbitforge.fields import make_field
 from orbitforge.heights import (
+    canonical_height,
     height_S_of_inverse,
     height_outside_S_of_inverse,
     height_value,
 )
 from orbitforge.ideals import PrimeIdealRec, SSet, factor_rational_prime, ord_ideal
 from orbitforge.orbits import (
+    CYCLE_STEP_CAP,
     GeneratorSearchError,
     OrbitRecord,
     build_Sk,
@@ -79,6 +82,77 @@ def test_is_preperiodic():
     assert is_preperiodic(F_SQ, 0) is True
     assert is_preperiodic(F_SQ, 1) is True
     assert is_preperiodic(F_SQ, 2) is False
+
+
+def _two_pass_periodicity(f, start, bit_cap):
+    """The former two-pass routine: a cycle scan, then canonical_height at
+    tol 1e-6 from the start again.  (preperiodic, 0 in the cycle), tri-state."""
+    seen = {start: 0}
+    vals = [start]
+    x = start
+    for k in range(1, CYCLE_STEP_CAP + 1):
+        x = f(x)
+        if x.bit_size() > bit_cap:
+            break
+        if x in seen:
+            return True, any(v.is_zero() for v in vals[seen[x]:])
+        seen[x] = k
+        vals.append(x)
+    ch = canonical_height(f, start, tol=1e-6, bit_cap=bit_cap)
+    if ch.value > 2 * ch.error_bound:
+        return False, False
+    return None, None
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _poly_and_start(draw):
+    F = draw(st.sampled_from([Q, F2, Fm5]))
+
+    def element():
+        return F.element(draw(_SMALL), draw(_SMALL) if F.degree == 2 else 0)
+
+    n = draw(st.integers(2, 3))
+    coeffs = [element() for _ in range(n + 1)]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = F.one()
+    return Polynomial(F, coeffs), element()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_poly_and_start())
+def test_periodicity_walk_matches_two_pass_oracle(case):
+    f, alpha = case
+    bit_cap = 4096
+    pre, _ = _two_pass_periodicity(f, alpha, bit_cap)
+    pre_zero, zero_in_cycle = _two_pass_periodicity(f, f.field.zero(), bit_cap)
+    zp = None if pre_zero is None else pre_zero and zero_in_cycle
+    if pre is not None:
+        assert is_preperiodic(f, alpha, bit_cap=bit_cap) is pre
+    if zp is not None:
+        assert is_zero_periodic(f, bit_cap=bit_cap) is zp
+
+
+def test_zero_periodic_non_integral_fixed_point():
+    # one_step_bound refuses x^2/2, but the fixed point 0 answers first
+    assert is_zero_periodic(Polynomial(Q, [0, 0, Fraction(1, 2)])) is True
+
+
+def test_zero_periodic_decides_in_few_small_steps(monkeypatch):
+    calls, peak = [0], [0]
+    plain_call = Polynomial.__call__
+
+    def counted_call(self, x):
+        y = plain_call(self, x)
+        calls[0] += 1
+        peak[0] = max(peak[0], y.bit_size())
+        return y
+
+    monkeypatch.setattr(Polynomial, "__call__", counted_call)
+    assert is_zero_periodic(F_CUBE) is False
+    assert calls[0] <= 3 and peak[0] <= 64
 
 
 def test_s_integer_and_s_unit_predicates():
