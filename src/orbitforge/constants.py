@@ -30,6 +30,14 @@ def log_star(x: float) -> float:
     return max(math.log(x), 1.0)
 
 
+def log_plus(x: float) -> float:
+    if x < 0:
+        raise ValueError("log+ needs x >= 0")
+    if x == 0:
+        return 0.0
+    return max(math.log(x), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # the fully explicit constants
 # ---------------------------------------------------------------------------

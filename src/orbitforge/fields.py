@@ -288,6 +288,12 @@ class FieldSpec:
             return "Q"
         return f"Q(sqrt({self.D}))"
 
+    @property
+    def omega_description(self) -> str:
+        if self.kind == "rational":
+            return "1"
+        return "(1+sqrt(D))/2" if self._omega_half else "sqrt(D)"
+
 
 # ---------------------------------------------------------------------------
 # fundamental units

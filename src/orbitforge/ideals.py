@@ -53,6 +53,13 @@ class PrimeIdealRec:
     def local_degree(self) -> int:
         return self.e * self.f
 
+    def two_element_rep(self):
+        if self.kind == "rational":
+            return (self.p,)
+        if self.kind == "inert":
+            return (self.p,)
+        return (self.p, f"w - {self.root}")
+
     def key(self) -> tuple:
         return (self.p, self.kind)
 
@@ -98,26 +105,19 @@ def _minpoly_coeffs(field: FieldSpec) -> tuple[int, int]:
 
 def _sqrt_mod(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p (Tonelli-Shanks, Cohen 1.5.1)."""
-    a %= p
-    if a == 0:
+    if a % p == 0:
         return 0
     q, r = p - 1, 0
     while q % 2 == 0:
         q, r = q // 2, r + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    y = pow(z, q, p)
-    x, b = pow(a, (q + 1) // 2, p), pow(a, q, p)
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    y, x, b = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
     while b != 1:
-        m, t = 1, b * b % p
-        while t != 1:
-            m, t = m + 1, t * t % p
-        if m == r:
+        m = next((m for m in range(1, r) if pow(b, 1 << m, p) == 1), None)
+        if m is None:
             raise ArithmeticError(f"{a} is not a square mod {p}")
         t = pow(y, 1 << (r - m - 1), p)
-        y, r = t * t % p, m
-        x, b = x * t % p, b * y % p
+        y, r, x, b = t * t % p, m, x * t % p, b * t * t % p
     return x
 
 
@@ -351,6 +351,9 @@ class IdealFactorization:
 
     def positive_part(self) -> dict[PrimeIdealRec, int]:
         return {P: e for P, e in self.entries.items() if e > 0}
+
+    def restrict_outside(self, S: SSet) -> dict[PrimeIdealRec, int]:
+        return {P: e for P, e in self.entries.items() if not S.contains_ideal(P)}
 
     def items(self):
         return sorted(self.entries.items(), key=lambda kv: (kv[0].p, kv[0].kind))

@@ -86,8 +86,8 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
     # start just above the root (the float log widened past its rounding
     # error), so Newton converges in a few steps even for large k
     e = math.log2(n) / k * (1 + 1e-12) + 1e-9
-    whole = int(e)
-    r = int(2.0**e) + 1 if whole <= 60 else (int(2.0 ** (e - whole + 60)) + 1) << (whole - 60)
+    shift = max(int(e) - 52, 0)
+    r = (int(2.0 ** (e - shift)) + 1) << shift
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k
         if s >= r:
@@ -99,8 +99,7 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
 def perfect_power_base(n: int) -> tuple[int, int]:
     """Write n >= 1 as base**e with base not itself a perfect power; e maximal.
 
-    Tries every prime exponent up to the bit length; a root under 2**32 is
-    located by a float, accurate there to far below 1/2."""
+    Tries every prime exponent up to the bit length."""
     if n < 1:
         raise ValueError("perfect_power_base needs n >= 1")
     if n == 1:
@@ -109,17 +108,8 @@ def perfect_power_base(n: int) -> tuple[int, int]:
     changed = True
     while changed:
         changed = False
-        bits = base.bit_length()
-        lg = math.log2(base)
-        for p in small_primes() if bits <= _TRIAL_BOUND else sieve_primes(bits):
-            if p > bits:
-                break
-            if lg / p < 32:
-                rf = 2.0 ** (lg / p)
-                r = round(rf)
-                exact = abs(rf - r) < 1e-3 and r**p == base
-            else:
-                r, exact = iroot(base, p)
+        for p in sieve_primes(base.bit_length()):
+            r, exact = iroot(base, p)
             if exact:
                 base, exp = r, exp * p
                 changed = True

@@ -90,12 +90,14 @@ def iterate_orbit(
 
 def _orbit_walk(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int) -> int | None:
     """The index where a repeat re-enters the orbit of start (finite orbit);
-    -1 once h(x_k)/deg^k > 2B/((deg-1) deg^k) certifies a positive canonical
-    height (infinite orbit); None at step_cap or bit_cap.  B = one_step_bound
-    is computed when the first iterate of positive height needs the test."""
+    -1 once h(x_k) > 2B/(deg-1) certifies a positive canonical height
+    (infinite orbit); None at step_cap or bit_cap.  The certificate needs
+    integral f; B = one_step_bound is computed when it is first tried, and a
+    non-integral f with no repeat within the caps raises ValueError."""
     n = f.degree
     if n < 2:
         raise ValueError("periodicity predicates need deg f >= 2")
+    integral = f.is_integral()
     B = None
     seen: dict[NFElement, int] = {}
     x = start
@@ -103,16 +105,18 @@ def _orbit_walk(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int) ->
         if k:
             x = f(x)
         if x.bit_size() > bit_cap:
-            return None
+            break
         if x in seen:
             return seen[x]
         seen[x] = k
-        h = height_value(x)
+        h = height_value(x) if integral else 0.0
         if h > 0:
             if B is None:
                 B = one_step_bound(f)
-            if h / n**k > 2 * B / ((n - 1) * n**k):
+            if h > 2 * B / (n - 1):
                 return -1
+    if not integral:
+        raise ValueError("no repeat within the caps; the height certificate needs integral f")
     return None
 
 
@@ -186,6 +190,9 @@ class DependenceWitness:
     s: int | None = None
     u: NFElement | None = None
     verified: bool = False
+
+    def sort_key(self):
+        return (self.m, self.n, self.kind)
 
     def row(self) -> dict:
         return {

@@ -118,7 +118,17 @@ def _poly_and_start(draw):
     coeffs = [element() for _ in range(n + 1)]
     if coeffs[-1].is_zero():
         coeffs[-1] = F.one()
+    # some non-integral f: the oracle then answers only where it sees a cycle
+    coeffs[-1] = coeffs[-1] * F.element(draw(st.sampled_from([1, 1, 1, Fraction(1, 2)])))
     return Polynomial(F, coeffs), element()
+
+
+def _outcome(fn, *args):
+    """fn(*args), or "ValueError" when it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return "ValueError"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -126,18 +136,37 @@ def _poly_and_start(draw):
 def test_periodicity_walk_matches_two_pass_oracle(case):
     f, alpha = case
     bit_cap = 4096
-    pre, _ = _two_pass_periodicity(f, alpha, bit_cap)
-    pre_zero, zero_in_cycle = _two_pass_periodicity(f, f.field.zero(), bit_cap)
-    zp = None if pre_zero is None else pre_zero and zero_in_cycle
+    pre = _outcome(lambda: _two_pass_periodicity(f, alpha, bit_cap)[0])
+    zp = _outcome(lambda: _two_pass_periodicity(f, f.field.zero(), bit_cap))
+    if zp != "ValueError":
+        zp = None if zp[0] is None else zp[0] and zp[1]
     if pre is not None:
-        assert is_preperiodic(f, alpha, bit_cap=bit_cap) is pre
+        assert _outcome(is_preperiodic, f, alpha, CYCLE_STEP_CAP, bit_cap) == pre
     if zp is not None:
-        assert is_zero_periodic(f, bit_cap=bit_cap) is zp
+        assert _outcome(is_zero_periodic, f, CYCLE_STEP_CAP, bit_cap) == zp
 
 
 def test_zero_periodic_non_integral_fixed_point():
     # one_step_bound refuses x^2/2, but the fixed point 0 answers first
     assert is_zero_periodic(Polynomial(Q, [0, 0, Fraction(1, 2)])) is True
+
+
+def test_zero_strictly_preperiodic_is_not_periodic():
+    # 0 -> -2 -> 2 -> 2: the cycle is re-entered at index 2, not at 0
+    f = Polynomial(Q, [-2, 0, 1])
+    assert is_preperiodic(f, 0) is True
+    assert is_zero_periodic(f) is False
+
+
+def test_non_integral_cycles_of_positive_height_answer_exactly():
+    half = Fraction(1, 2)
+    # 2 is fixed by x^2/2 and h(2) = log 2 > 0
+    assert is_preperiodic(Polynomial(Q, [0, 0, half]), 2) is True
+    # 0 -> 2 -> 0 under x^2/2 - 2x + 2
+    assert is_zero_periodic(Polynomial(Q, [2, -2, half])) is True
+    # no cycle and no certificate for a non-integral f
+    with pytest.raises(ValueError):
+        is_zero_periodic(Polynomial(Q, [1, 0, half]), bit_cap=4096)
 
 
 def test_zero_periodic_decides_in_few_small_steps(monkeypatch):
