@@ -159,9 +159,6 @@ class NFElement:
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    def is_unit(self) -> bool:
-        return self.is_integral() and abs(self.norm()) == 1
-
     def denominator_lcm(self) -> int:
         return self.a.denominator * self.b.denominator // math.gcd(
             self.a.denominator, self.b.denominator
@@ -257,14 +254,6 @@ class FieldSpec:
             raise FieldError("Q has no quadratic generator")
         return NFElement(self, 0, 1)
 
-    def sqrt_d(self) -> NFElement:
-        """The element sqrt(D) itself."""
-        if self.degree == 1:
-            raise FieldError("Q has no sqrt(D)")
-        if self._omega_half:
-            return NFElement(self, -1, 2)  # 2w - 1
-        return NFElement(self, 0, 1)
-
     def from_string(self, s: str) -> NFElement:
         parts = [p.strip() for p in s.split(",")]
         if len(parts) == 1:
@@ -287,12 +276,6 @@ class FieldSpec:
         if self.kind == "rational":
             return "Q"
         return f"Q(sqrt({self.D}))"
-
-    @property
-    def omega_description(self) -> str:
-        if self.kind == "rational":
-            return "1"
-        return "(1+sqrt(D))/2" if self._omega_half else "sqrt(D)"
 
 
 # ---------------------------------------------------------------------------

@@ -96,16 +96,6 @@ class HeightBreakdown:
     contributions: list[tuple[Place, float]]
     total: float
 
-    def subset_total(self, places) -> float:
-        keyset = {_place_key(p) for p in places}
-        return sum(c for p, c in self.contributions if _place_key(p) in keyset)
-
-
-def _place_key(p: Place):
-    if p.kind == "archimedean":
-        return ("inf", p.embedding_index)
-    return ("fin", p.ideal.p, p.ideal.kind)
-
 
 def _arch_contributions(x: NFElement) -> list[tuple[Place, float]]:
     field = x.field

@@ -53,13 +53,6 @@ class PrimeIdealRec:
     def local_degree(self) -> int:
         return self.e * self.f
 
-    def two_element_rep(self):
-        if self.kind == "rational":
-            return (self.p,)
-        if self.kind == "inert":
-            return (self.p,)
-        return (self.p, f"w - {self.root}")
-
     def key(self) -> tuple:
         return (self.p, self.kind)
 
@@ -351,9 +344,6 @@ class IdealFactorization:
 
     def positive_part(self) -> dict[PrimeIdealRec, int]:
         return {P: e for P, e in self.entries.items() if e > 0}
-
-    def restrict_outside(self, S: SSet) -> dict[PrimeIdealRec, int]:
-        return {P: e for P, e in self.entries.items() if not S.contains_ideal(P)}
 
     def items(self):
         return sorted(self.entries.items(), key=lambda kv: (kv[0].p, kv[0].kind))

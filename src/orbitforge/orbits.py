@@ -51,9 +51,6 @@ class OrbitRecord:
     def length(self) -> int:
         return len(self.iterates) - 1
 
-    def heights(self) -> list[float]:
-        return [height_value(x) for x in self.iterates]
-
     def factorization(self, k: int, budget: int = DEFAULT_RHO_BUDGET, cache=None):
         """Ideal factorization of the k-th iterate, computed on demand."""
         if k not in self._factorizations:
@@ -190,9 +187,6 @@ class DependenceWitness:
     s: int | None = None
     u: NFElement | None = None
     verified: bool = False
-
-    def sort_key(self):
-        return (self.m, self.n, self.kind)
 
     def row(self) -> dict:
         return {
@@ -336,22 +330,27 @@ def find_primitive_divisor(
     return ZsigmondyResult(m, k, primitive, window)
 
 
-def build_Sk(f: Polynomial, k: int, budget: int = DEFAULT_RHO_BUDGET, cache=None) -> SSet:
-    """S_k: archimedean places plus every prime dividing f^(j)(0), j <= k."""
+def build_Sk(
+    f: Polynomial, k: int, budget: int = DEFAULT_RHO_BUDGET, cache=None,
+    bit_cap: int = DEFAULT_BIT_CAP,
+) -> SSet:
+    """S_k: archimedean places plus every prime dividing f^(j)(0), j <= k.
+
+    0 must be certified non-periodic, so no f^(j)(0) is 0."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    zp = is_zero_periodic(f)
+    zp = is_zero_periodic(f, bit_cap=bit_cap)
+    if zp is None:
+        raise ValueError(f"0-periodicity unknown within the bit cap of {bit_cap} bits")
     if zp:
         raise ValueError("0 is periodic: S_k is not defined")
-    field = f.field
+    orbit = iterate_orbit(f, 0, k, bit_cap)
+    if orbit.truncated:
+        raise ValueError(f"orbit of 0 truncated below k = {k} by the bit cap of {bit_cap} bits")
     ideals = []
-    x = field.zero()
-    for _ in range(k):
-        x = f(x)
-        if x.is_zero():
-            raise ValueError("orbit of 0 hits 0: S_k is not defined")
+    for x in orbit.iterates[1:]:
         ideals.extend(factor_element_ideal(x, budget, cache).positive_part())
-    return SSet(field, ideals)
+    return SSet(f.field, ideals)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import FieldSpec, NFElement, FieldError
+from .fields import FieldSpec, NFElement
 
 
 class Polynomial:
@@ -69,12 +69,6 @@ class Polynomial:
             return 0
         g = poly_gcd(self, self.derivative())
         return self.degree - g.degree
-
-    def int_coeff_list(self) -> list[int]:
-        """Lowest-first integer coefficients; only for rational integral polys."""
-        if self.field.degree != 1 or not self.is_integral():
-            raise FieldError("not an integer-coefficient rational polynomial")
-        return [int(c.a) for c in self.coeffs]
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

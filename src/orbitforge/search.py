@@ -24,8 +24,8 @@ from .constants import (
     resolve_splitting,
 )
 from .fields import FieldSpec, NFElement
-from .heights import height_S_of_inverse, height_value, log_abs_embedding, support_lambda
-from .ideals import SSet
+from .heights import height_S_of_inverse, height_value, support_lambda
+from .ideals import SSet, _minpoly_coeffs
 from .intfactor import DEFAULT_RHO_BUDGET, IncompleteFactorization
 from .orbits import (
     DEFAULT_BIT_CAP,
@@ -111,39 +111,38 @@ def ring_elements_capped(
     field: FieldSpec, H: float, cap: int = DEFAULT_ELEMENT_CAP
 ) -> tuple[list[NFElement], bool]:
     """(elements, truncated): the ring integers of height <= H, ordered by
-    (height, coordinates), cut to at most cap, and whether the cap cut."""
+    (height, coordinates), cut to at most cap, and whether the cap cut.
+
+    One exact walk over the rows b of x = a + b*w, w^2 + t1*w + t0 = 0 (over
+    Q the only row is b = 0).  With u = 2a - t1*b, 4*Nm(x) = u^2 - disc*b^2,
+    and e^{2h(x)} is Nm(x) on an imaginary field and max(|Nm x|, |s1 x|,
+    |s2 x|) otherwise, where max|s_i x| = (|u| + |b|*sqrt(disc))/2.  So with
+    E = e^{2(H + _H_EPS)} each row is a range of |u|, of the parity of t1*b,
+    where u^2 is within floor(4E) of disc*b^2 (and max|s_i x| <= E if real).
+    """
     if H < 0:
         raise ValueError("height cap must be >= 0")
-    out = []
+    E = math.exp(2 * (H + _H_EPS))
+    M = int(4 * E)
+    disc = field.discriminant
+    t1 = _minpoly_coeffs(field)[1] if field.degree == 2 else 0
     if field.degree == 1:
-        nmax = int(math.exp(H)) + 1
-        while nmax >= 1 and math.log(nmax) > H + _H_EPS:
-            nmax -= 1
-        for a in range(-nmax, nmax + 1):
-            out.append(field.element(a))
+        b_max = 0
+    elif disc > 0:
+        b_max = int(2 * E / math.sqrt(disc))
     else:
-        # embedding box: |s_i(x)| <= e^{2H} for two real places (one factor
-        # may carry the whole height), e^H for the single complex place.
-        # w-coordinates: b = (s1 - s2)/sqrt(D) (doubled when w is the
-        # half-integral generator), a = x - b*w.
-        bound = math.exp(2 * H) + 1 if field.D > 0 else math.exp(H) + 1
-        sq = math.sqrt(abs(field.D))
-        b_hi = int(2 * bound / sq) + 2
-        a_hi = int(bound + b_hi) + 2
-        for b in range(-b_hi, b_hi + 1):
-            for a in range(-a_hi, a_hi + 1):
-                x = field.element(a, b)
-                if x.is_zero():
-                    out.append(x)
-                    continue
-                la0 = log_abs_embedding(x, 0)
-                if field.D > 0:
-                    la1 = log_abs_embedding(x, 1)
-                    h = 0.5 * (max(la0, 0.0) + max(la1, 0.0))
-                else:
-                    h = max(la0, 0.0)
-                if h <= H + _H_EPS:
-                    out.append(x)
+        b_max = math.isqrt(M // -disc)
+    out = []
+    for b in range(-b_max, b_max + 1):
+        lo2, hi2 = disc * b * b - M, disc * b * b + M
+        u_lo = math.isqrt(lo2 - 1) + 1 if lo2 > 0 else 0
+        u_hi = math.isqrt(hi2)
+        if disc > 0:
+            u_hi = min(u_hi, math.floor(2 * E - abs(b) * math.sqrt(disc)))
+        u_lo += (u_lo - t1 * b) % 2
+        for u in range(u_lo, u_hi + 1, 2):
+            for v in {u, -u}:
+                out.append(field.element((v + t1 * b) // 2, b))
     out.sort(key=_element_order_key)
     return out[:cap], len(out) > cap
 

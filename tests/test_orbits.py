@@ -445,6 +445,18 @@ def test_build_Sk_examples():
         build_Sk(F_SQM1, 2)  # 0 periodic
 
 
+def test_build_Sk_honours_bit_cap():
+    # 0-periodicity of x^3 - x + 3 is undecided below 8 bits: refuse, never
+    # treat the undecided answer as "not periodic"
+    with pytest.raises(ValueError, match="bit cap of 8 bits"):
+        build_Sk(F_CUBE, 2, bit_cap=8)
+    # decided within 64 bits, but f^5(0) has 129 bits
+    with pytest.raises(ValueError, match="bit cap of 64 bits"):
+        build_Sk(F_CUBE, 6, bit_cap=64)
+    capped = build_Sk(F_CUBE, 4, bit_cap=64)
+    assert capped.rational_primes() == build_Sk(F_CUBE, 4).rational_primes()
+
+
 def test_divisibility_transfer_on_witnesses():
     S235 = S_of(Q, 2, 3, 5)
     for a in range(-10, 11):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orbitforge.constants import SplittingData
-from orbitforge.fields import make_field
+from orbitforge.fields import FieldSpec, make_field
 from orbitforge.ideals import SSet, factor_rational_prime
 from orbitforge.orbits import is_zero_periodic
 from orbitforge.polynomials import Polynomial
@@ -33,6 +33,9 @@ def test_enumerate_rational():
     assert len(got) == 7
     got0 = [x.a for x in ring_elements_capped(Q, 0.0)[0]]
     assert sorted(got0) == [-1, 0, 1]
+    for n in (50, 200):
+        got_n = [x.a for x in ring_elements_capped(Q, math.log(n))[0]]
+        assert sorted(got_n) == list(range(-n, n + 1))
     # ordering: height first, then coordinates
     assert got[:3] == [-1, 0, 1]
     assert abs(got[3]) == 2
@@ -72,16 +75,41 @@ def test_enumerate_half_integral_field_complete():
     # brute-force oracle over a generous coordinate box
     from orbitforge.heights import height_value
 
-    for D, H in ((5, 2.0), (13, 1.5), (-3, 1.2)):
+    # caps H = log(n)/2 met exactly by an element of norm +-n
+    boundary = [(2, 7, (3, 1)), (3, 11, (1, 2)), (5, 11, (3, 1)), (13, 17, (4, 1)),
+                (-1, 5, (1, 2)), (-3, 7, (2, 1)), (-5, 6, (1, 1))]
+    # the 121 x 121 box below holds every element up to these caps
+    caps = {5: [2.0], 13: [1.5], -3: [1.2], 2: [1.8], 3: [1.6], -1: [2.0], -5: [2.2]}
+    for D, n, _ in boundary:
+        caps[D].append(0.5 * math.log(n))
+    for D, Hs in caps.items():
         F = make_field("quadratic", D)
-        got = {(x.a, x.b) for x in ring_elements_capped(F, H)[0]}
-        expect = set()
-        for a in range(-60, 61):
-            for b in range(-60, 61):
-                x = F.element(a, b)
-                if x.is_zero() or height_value(x) <= H + 1e-12:
-                    expect.add((x.a, x.b))
-        assert got == expect, (D, H)
+        box = [F.element(a, b) for a in range(-60, 61) for b in range(-60, 61)]
+        heights = [0.0 if x.is_zero() else height_value(x) for x in box]
+        for H in Hs:
+            got = {(x.a, x.b) for x in ring_elements_capped(F, H)[0]}
+            expect = {(x.a, x.b) for x, h in zip(box, heights) if h <= H + 1e-12}
+            assert got == expect, (D, H)
+    for D, n, (a, b) in boundary:
+        F = make_field("quadratic", D)
+        assert abs(F.element(a, b).norm()) == n
+        assert (a, b) in {(x.a, x.b) for x in ring_elements_capped(F, 0.5 * math.log(n))[0]}
+
+
+def test_enumerate_builds_only_kept_elements(monkeypatch):
+    # the walk visits each admissible (a, b) once: no box of candidates
+    F = make_field("quadratic", 2)
+    calls = [0]
+    plain_element = FieldSpec.element
+
+    def counted_element(self, *args):
+        calls[0] += 1
+        return plain_element(self, *args)
+
+    monkeypatch.setattr(FieldSpec, "element", counted_element)
+    got = ring_elements_capped(F, 2.5)[0]
+    assert len(got) == 1253
+    assert calls[0] <= 2 * len(got)
 
 
 def _campaign_config(**kw):
