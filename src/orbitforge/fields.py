@@ -33,9 +33,11 @@ class NFElement:
 
     def __init__(self, field: "FieldSpec", a, b=0):
         self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        if field.degree == 1 and self.b != 0:
+        # a coordinate that is already a Fraction is kept: re-wrapping it
+        # goes through the numbers.Rational ABC check on every result
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
+        if field.degree == 1 and self.b:
             raise FieldError("rational field elements have no w-coordinate")
 
     # -- ring structure -------------------------------------------------
@@ -53,6 +55,10 @@ class NFElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if self.is_integral() and o.is_integral():
+            return NFElement(
+                self.field, self.a.numerator + o.a.numerator, self.b.numerator + o.b.numerator
+            )
         return NFElement(self.field, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
@@ -74,14 +80,17 @@ class NFElement:
         if o is NotImplemented:
             return o
         f = self.field
+        # integral operands multiply as ints; the constructor wraps each
+        # int coordinate in one Fraction
+        if self.is_integral() and o.is_integral():
+            a, b, c, d = self.a.numerator, self.b.numerator, o.a.numerator, o.b.numerator
+        else:
+            a, b, c, d = self.a, self.b, o.a, o.b
         if f.degree == 1:
-            return NFElement(f, self.a * o.a)
+            return NFElement(f, a * c)
         # w^2 = wsq_const + wsq_lin * w
-        cross = self.a * o.b + self.b * o.a
-        ww = self.b * o.b
-        return NFElement(
-            f, self.a * o.a + ww * f._wsq_const, cross + ww * f._wsq_lin
-        )
+        bd = b * d
+        return NFElement(f, a * c + bd * f._wsq_const, a * d + b * c + bd * f._wsq_lin)
 
     __rmul__ = __mul__
 
@@ -167,6 +176,8 @@ class NFElement:
     def integral_parts(self) -> tuple["NFElement", int]:
         """Write self = y / m with y integral and m a positive integer."""
         m = self.denominator_lcm()
+        if m == 1:
+            return self, 1
         return NFElement(self.field, self.a * m, self.b * m), m
 
     def bit_size(self) -> int:
@@ -218,18 +229,18 @@ class FieldSpec:
         if kind == "rational":
             self.discriminant = 1
             self._omega_half = False
-            self._wsq_const = Fraction(0)
-            self._wsq_lin = Fraction(0)
+            self._wsq_const = 0
+            self._wsq_lin = 0
         else:
             assert D is not None
             self._omega_half = D % 4 == 1
             self.discriminant = D if self._omega_half else 4 * D
             if self._omega_half:
-                self._wsq_const = Fraction(D - 1, 4)
-                self._wsq_lin = Fraction(1)
+                self._wsq_const = (D - 1) // 4
+                self._wsq_lin = 1
             else:
-                self._wsq_const = Fraction(D)
-                self._wsq_lin = Fraction(0)
+                self._wsq_const = D
+                self._wsq_lin = 0
         # populated by make_field:
         self.unit_rank = 0
         self.fundamental_unit: NFElement | None = None

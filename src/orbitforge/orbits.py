@@ -46,6 +46,7 @@ class OrbitRecord:
     iterates: list[NFElement]
     truncated: bool
     _factorizations: dict[int, IdealFactorization] = dc_field(default_factory=dict)
+    _norms_outside_S: dict[tuple, int] = dc_field(default_factory=dict)
 
     @property
     def length(self) -> int:
@@ -58,6 +59,13 @@ class OrbitRecord:
                 self.iterates[k], budget, cache
             )
         return self._factorizations[k]
+
+    def norm_outside_S(self, k: int, S: SSet) -> int:
+        """_norm_outside_S of the k-th iterate, computed once per S."""
+        key = (k, tuple(P.key() for P in S.ideals))
+        if key not in self._norms_outside_S:
+            self._norms_outside_S[key] = _norm_outside_S(self.iterates[k], S)
+        return self._norms_outside_S[key]
 
 
 def iterate_orbit(
@@ -258,7 +266,7 @@ def check_power_dependence(
     xm, xn = _orbit_pair(orbit, m, n)
     if xm.is_zero() or xn.is_zero():
         raise ZeroDivisionError("power dependence needs both iterates nonzero")
-    X, Y = _norm_outside_S(xm, S), _norm_outside_S(xn, S)
+    X, Y = orbit.norm_outside_S(m, S), orbit.norm_outside_S(n, S)
     if X == 1:
         rs = (1, 0)
     elif Y == 1:

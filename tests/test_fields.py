@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from orbitforge.fields import FieldError, make_field, element_arith, norm_of_element
 
@@ -153,3 +154,96 @@ def test_is_integral():
     assert F5.element(Fraction(1, 2), Fraction(3)).is_integral() is False
     assert F5.omega().is_integral()
     assert F5.element(2, -7).is_integral()
+
+
+# -- the integral fast path of the kernel against the Fraction formulas ------
+
+ORACLE_FIELDS = [make_field("rational")] + [make_field("quadratic", D) for D in (2, 5, -1, -5)]
+
+
+def _wsq(F):
+    """(c0, c1) with w^2 = c0 + c1*w, as Fractions."""
+    if F.degree == 1:
+        return Fraction(0), Fraction(0)
+    if F.D % 4 == 1:
+        return Fraction(F.D - 1, 4), Fraction(1)
+    return Fraction(F.D), Fraction(0)
+
+
+def _ref_mul(F, x, y):
+    c0, c1 = _wsq(F)
+    (a, b), (c, d) = x, y
+    return a * c + b * d * c0, a * d + b * c + b * d * c1
+
+
+def _ref_inv(F, x):
+    a, b = x
+    c0, c1 = _wsq(F)
+    # conjugate of a + b*w is (a + c1*b) - b*w; norm = x * conj(x)
+    conj = (a + c1 * b, -b)
+    n = _ref_mul(F, x, conj)[0]
+    return conj[0] / n, conj[1] / n
+
+
+def _ref_pow(F, x, k):
+    if k < 0:
+        return _ref_pow(F, _ref_inv(F, x), -k)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _ref_mul(F, out, x)
+    return out
+
+
+_numerators = st.one_of(
+    st.integers(-10, 10), st.integers(-(2**64), 2**64), st.integers(-(2**2000), 2**2000)
+)
+_coordinates = st.one_of(
+    _numerators,
+    st.builds(Fraction, _numerators),
+    st.builds(Fraction, _numerators, st.sampled_from([2, 3, 4, 6, 2**61 - 1, 3**200])),
+)
+
+
+@st.composite
+def _operands(draw):
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    coords = []
+    for _ in range(2):
+        a = draw(_coordinates)
+        b = draw(_coordinates) if F.degree == 2 else 0
+        coords.append((a, b))
+    return F, coords
+
+
+def _check(z, F, ref):
+    assert type(z.a) is Fraction and type(z.b) is Fraction
+    assert (z.a, z.b) == ref
+    assert z == F.element(*ref) and hash(z) == hash((F.kind, F.D, ref[0], ref[1]))
+
+
+@given(_operands(), st.integers(-2, 4), st.integers(-(2**70), 2**70))
+def test_kernel_fast_path_matches_fraction_formulas(case, k, n):
+    F, coords = case
+    x, y = (F.element(a, b) for a, b in coords)
+    rx, ry = ((Fraction(a), Fraction(b)) for a, b in coords)
+    for z in (x, y):
+        assert type(z.a) is Fraction and type(z.b) is Fraction
+    _check(x, F, rx)
+    _check(x + y, F, (rx[0] + ry[0], rx[1] + ry[1]))
+    _check(x - y, F, (rx[0] - ry[0], rx[1] - ry[1]))
+    _check(-x, F, (-rx[0], -rx[1]))
+    _check(x * y, F, _ref_mul(F, rx, ry))
+    _check(x * x, F, _ref_mul(F, rx, rx))
+    _check(x + n, F, (rx[0] + n, rx[1]))
+    _check(n * x, F, (n * rx[0], n * rx[1]))
+    if k >= 0 or any(rx):
+        _check(x**k, F, _ref_pow(F, rx, k))
+    if any(ry):
+        _check(x / y, F, _ref_mul(F, rx, _ref_inv(F, ry)))
+    y_int, m = x.integral_parts()
+    lcm = math.lcm(rx[0].denominator, rx[1].denominator)
+    assert m == lcm and y_int.is_integral()
+    _check(y_int, F, (rx[0] * lcm, rx[1] * lcm))
+    assert (x == y) == (rx == ry)
+    if rx == ry:
+        assert hash(x) == hash(y)

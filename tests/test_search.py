@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from orbitforge.constants import SplittingData
 from orbitforge.fields import FieldSpec, make_field
 from orbitforge.ideals import SSet, factor_rational_prime
-from orbitforge.orbits import is_zero_periodic
+from orbitforge.orbits import is_zero_periodic, iterate_orbit
 from orbitforge.polynomials import Polynomial
 from orbitforge.search import (
     CampaignReport,
@@ -275,6 +276,41 @@ def test_dependence_search_never_factors_and_evaluates_each_iterate_once(monkeyp
         rep = search_dependence(cfg)
         assert not rep.skip_rows() and rep.witness_rows()
         assert evals[0] <= alphas * cfg.m_max + zero_scan, F
+
+
+def test_dependence_search_takes_each_norm_away_from_S_once(monkeypatch):
+    from orbitforge import orbits
+
+    cfg = SearchConfig(field=Q, f=Polynomial(Q, [3, -1, 0, 1]), S=S_of(Q, 2, 3, 5),
+                       height_cap=math.log(50), m_max=4)
+    nonzero_iterates = sum(
+        1
+        for alpha in ring_elements_capped(Q, cfg.height_cap)[0]
+        for x in iterate_orbit(cfg.f, alpha, cfg.m_max, cfg.bit_cap).iterates[1:]
+        if not x.is_zero()
+    )
+    calls = [0]
+    plain = orbits._norm_outside_S
+
+    def counted(x, S):
+        calls[0] += 1
+        return plain(x, S)
+
+    monkeypatch.setattr(orbits, "_norm_outside_S", counted)
+    rep = search_dependence(cfg)
+    assert rep.witness_rows() and not rep.partial
+    assert 0 < calls[0] <= nonzero_iterates
+
+
+def test_quadratic_campaign_at_m_max_3_finishes():
+    # this configuration once hung for more than 50 s splitting a large
+    # prime in ideals._minpoly_root_mod
+    cfg = SearchConfig(field=F2, f=Polynomial(F2, [3, -1, 0, 1]), S=S_of(F2, 2, 3, 5),
+                       height_cap=1.0, m_max=3)
+    t0 = time.perf_counter()
+    rep = search_dependence(cfg)
+    assert time.perf_counter() - t0 < 5.0
+    assert not rep.partial and not rep.skip_rows() and rep.witness_rows()
 
 
 def test_sunit_scan_matches_hand_enumeration():
