@@ -3,7 +3,7 @@ dependence search in polynomial orbits over Q and quadratic fields."""
 
 __version__ = "0.1.0"
 
-from .fields import FieldSpec, NFElement, make_field, element_arith, norm_of_element
+from .fields import FieldSpec, NFElement, make_field
 from .ideals import (
     IdealFactorization,
     Place,

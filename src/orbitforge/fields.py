@@ -504,27 +504,3 @@ def make_field(kind: str, D: int | None = None, disc_cap: int = DISC_CAP) -> Fie
         f.torsion_order = 4 if D == -1 else 6 if D == -3 else 2
         f.class_number = _class_number_imaginary(f.discriminant)
     return f
-
-
-def element_arith(x: NFElement, y: NFElement | None, op: str) -> NFElement:
-    """Functional face over NFElement arithmetic: add/mul/pow/conj/inv."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "pow":
-        if not isinstance(y, int) or y < 0:
-            raise ValueError("pow needs a nonnegative integer exponent")
-        return x**y
-    if op == "conj":
-        return x.conj()
-    if op == "inv":
-        return x.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def norm_of_element(x: NFElement) -> Fraction:
-    """Signed field norm; |.| of it is the ideal norm for integral x."""
-    if x.is_zero():
-        raise ZeroDivisionError("norm of 0 requested")
-    return x.norm()

@@ -1,8 +1,9 @@
 """Big-integer primality and factorization with explicit step budgets.
 
-Factorization never truncates silently: when the Pollard-rho budget runs
-out with a composite cofactor left, IncompleteFactorization is raised and
-carries the partial factorization plus the cofactor.
+Primality is Baillie-PSW: exact below 2**64, with no counterexample known
+above.  Factorization never truncates silently: when the Pollard-rho
+budget runs out with a composite cofactor left, IncompleteFactorization is
+raised and carries the partial factorization plus the cofactor.
 """
 
 from __future__ import annotations
@@ -46,35 +47,87 @@ def small_primes() -> list[int]:
     return _small_primes
 
 
-# Deterministic Miller-Rabin witness set for n < 3.317e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality; deterministic below 3.3e24, fixed bases above."""
+    """Baillie-PSW primality: exact below 2**64, no counterexample known above.
+
+    Trial division by the primes <= 37, one strong Miller-Rabin round to
+    base 2, then a strong Lucas test with Selfridge's parameters
+    (Baillie-Wagstaff, Math. Comp. 35 (1980)).
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == p:
-            return True
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
+            return n == p
+    if n < 41 * 41:  # no prime factor <= 37, so none at all
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
         for _ in range(s - 1):
-            x = (x * x) % n
+            x = x * x % n
             if x == n - 1:
                 break
         else:
             return False
-    return True
+    return _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a & 1 == 0:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 2.
+
+    Selfridge's parameters: the first D in 5, -7, 9, -11, ... with
+    Jacobi(D/n) = -1, then P = 1, Q = (1 - D)/4.  With n + 1 = d * 2**s,
+    d odd, n passes when U_d = 0 or V_{d 2**r} = 0 (mod n) for some r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has Jacobi(D/n) = -1: the search below never ends
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # gcd(D, n) > 1
+            return abs(D) == n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & (-1 - n)).bit_length() - 1
+    d = (n + 1) >> s
+    # ladder over (V_k, V_{k+1}, Q^k) from k = 1 along the bits of d, with
+    # V_{2k} = V_k^2 - 2 Q^k and V_{2k+1} = V_k V_{k+1} - P Q^k (P = 1)
+    v, w, qk = 1, (1 - 2 * Q) % n, Q % n
+    for bit in bin(d)[3:]:
+        if bit == "1":
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * Q) % n, qk * qk * Q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    # D U_d = 2 V_{d+1} - P V_d, and D is invertible mod n
+    if (2 * w - v) % n == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:
@@ -164,9 +217,10 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
 def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
     """Full prime factorization of |n| >= 1 as {prime: exponent}.
 
-    Trial division by small primes, then Miller-Rabin plus budgeted
-    Pollard rho on what remains.  Raises IncompleteFactorization when the
-    budget is exhausted with a composite piece left.
+    Trial division by small primes, then the Baillie-PSW test (exact below
+    2**64, no counterexample known above) plus budgeted Pollard rho on what
+    remains.  Raises IncompleteFactorization when the budget is exhausted
+    with a composite piece left.
     """
     n = abs(n)
     if n == 0:

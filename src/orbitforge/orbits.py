@@ -367,19 +367,31 @@ def build_Sk(
 
 
 def divisibility_transfer_holds(
-    f: Polynomial, witness: DependenceWitness, S: SSet
+    f: Polynomial, witness: DependenceWitness, S: SSet, bit_cap: int = DEFAULT_BIT_CAP
 ) -> bool:
     """Whether the S-free part of [f^(m)(alpha)] divides f^(m-n)(0), exactly.
 
     For integral f^(m)(alpha) that is the case exactly when
     f^(m-n)(0) / f^(m)(alpha) is an S-integer, so nothing is factored.
+    Raises ValueError when either orbit passes bit_cap.
     """
     if witness.kind != "s_integer_ratio":
         raise ValueError("transfer check applies to ratio witnesses")
-    fk0 = f.iterate_value(f.field.zero(), witness.m - witness.n)
+    k = witness.m - witness.n
+    zero_orbit = iterate_orbit(f, 0, k, bit_cap)
+    if zero_orbit.truncated:
+        raise ValueError(
+            f"orbit of 0 truncated below m - n = {k} by the bit cap of {bit_cap} bits"
+        )
+    fk0 = zero_orbit.iterates[k]
     if fk0.is_zero():
         return True
-    xm = f.iterate_value(witness.alpha, witness.m)
+    orbit = iterate_orbit(f, witness.alpha, witness.m, bit_cap)
+    if orbit.truncated:
+        raise ValueError(
+            f"orbit truncated below m = {witness.m} by the bit cap of {bit_cap} bits"
+        )
+    xm = orbit.iterates[witness.m]
     if not xm.is_integral():
         raise ValueError("the transfer check needs an integral f^(m)(alpha)")
     return is_s_integer(fk0 / xm, S)

@@ -105,6 +105,17 @@ def test_cache_corruption_detected(tmp_path):
     assert "line 2" in str(ei.value)
 
 
+def test_cache_false_prime_detected(tmp_path):
+    # 399165290221 * 798330580441, a strong pseudoprime to the prime bases <= 37
+    psi12 = 318665857834031151167461
+    path = str(tmp_path / "cache.txt")
+    with open(path, "w") as fh:
+        fh.write(f"# orbitforge-factor-cache v1\n{psi12} = {psi12}\n")
+    with pytest.raises(CacheError) as ei:
+        FactorCache(path)
+    assert "line 2" in str(ei.value)
+
+
 def test_cache_duplicate_detected(tmp_path):
     path = str(tmp_path / "cache.txt")
     with open(path, "w") as fh:

@@ -68,6 +68,9 @@ def test_factor_rational_prime_rejects_composite():
     Q = make_field("rational")
     with pytest.raises(ValueError):
         factor_rational_prime(Q, 6)
+    # 399165290221 * 798330580441, a strong pseudoprime to the prime bases <= 37
+    with pytest.raises(ValueError, match="is not prime"):
+        factor_rational_prime(Q, 318665857834031151167461)
 
 
 def test_ord_examples():

@@ -1,10 +1,13 @@
 import random
+import time
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from orbitforge.intfactor import (
     IncompleteFactorization,
+    _is_strong_lucas_prp,
     factorize,
     iroot,
     is_prime,
@@ -12,6 +15,12 @@ from orbitforge.intfactor import (
     perfect_power_base,
     strip_primes,
 )
+
+
+# Smallest composites passing Miller-Rabin on the first 12 and 13 prime bases
+# (Sorenson-Webster, Math. Comp. 86 (2017)).
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
 
 
 def refold(fac):
@@ -28,6 +37,79 @@ def test_is_prime_against_sympy():
         assert is_prime(n) == sympy.isprime(n)
     for n in (2, 3, 2**61 - 1, 10**18 + 9, 4547337172376300111955330758342147474062293202868155909489):
         assert is_prime(n) == sympy.isprime(n)
+
+
+def test_psi12_and_psi13_are_composite():
+    assert not is_prime(PSI12)
+    assert not is_prime(PSI13)
+    assert factorize(PSI12) == {399165290221: 1, 798330580441: 1}
+
+
+def _strong_base2(n):
+    """Whether odd n > 2 passes one strong Miller-Rabin round to base 2."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+@pytest.mark.parametrize(
+    "n", [2047, 3277, 4033, 4681, 8321, 3215031751, 3825123056546413051]
+)
+def test_base2_strong_pseudoprimes_fail_lucas(n):
+    assert _strong_base2(n)
+    assert not _is_strong_lucas_prp(n)
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+def test_strong_lucas_pseudoprimes_fail_miller_rabin(n):
+    assert _is_strong_lucas_prp(n)
+    assert not _strong_base2(n)
+    assert not is_prime(n)
+
+
+def test_carmichael_numbers_are_composite():
+    for n in (561, 1105, 1729, 41041, 825265):
+        assert not is_prime(n)
+
+
+# 1093 and 3511 are Wieferich primes, so their squares pass the base-2 round
+# and reach the Lucas half, whose search for D never ends on a square.
+@pytest.mark.parametrize("p", [1093, 3511, 1000003, 2**89 - 1])
+def test_prime_squares_are_composite_at_once(p):
+    t0 = time.perf_counter()
+    assert not is_prime(p * p)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _pseudoprime_shapes():
+    """p*q with q = 2p - 1 or q = k(p - 1) + 1, both prime: the shape strong
+    pseudoprimes take.  Half the draws give the prime q alone."""
+
+    def build(args):
+        p, k, take = args
+        p = sympy.nextprime(p)
+        for q in [2 * p - 1] + [j * (p - 1) + 1 for j in range(k, k + 40)]:
+            if sympy.isprime(q):
+                return p * q if take else q
+        return p
+
+    return st.tuples(
+        st.integers(3, 2**80), st.integers(2, 400), st.booleans()
+    ).map(build)
+
+
+@given(
+    st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.integers(64, 599).flatmap(
+            lambda b: st.integers(2**b, 2 ** (b + 1) - 1).map(lambda n: n | 1)
+        ),
+        _pseudoprime_shapes(),
+    )
+)
+def test_is_prime_oracle_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
 
 
 def test_factorize_small_and_refold():

@@ -517,6 +517,20 @@ def test_divisibility_transfer_on_witnesses():
     assert checked
 
 
+def test_divisibility_transfer_honours_bit_cap():
+    S235 = S_of(Q, 2, 3, 5)
+    # alpha = 1, (m, n) = (2, 0): f^2(0) = 27 has 5 bits
+    w = check_s_integer_ratio(iterate_orbit(F_CUBE, 1, 2), 2, 0, S235)
+    with pytest.raises(ValueError, match="orbit of 0 .*bit cap of 4 bits"):
+        divisibility_transfer_holds(F_CUBE, w, S235, bit_cap=4)
+    assert divisibility_transfer_holds(F_CUBE, w, S235, bit_cap=5)
+    # alpha = -1, (m, n) = (2, 1): f(0) = 3 fits in 4 bits, f^2(-1) = 27 does not
+    w = check_s_integer_ratio(iterate_orbit(F_CUBE, -1, 2), 2, 1, S235)
+    with pytest.raises(ValueError, match="below m = 2 by the bit cap of 4 bits"):
+        divisibility_transfer_holds(F_CUBE, w, S235, bit_cap=4)
+    assert divisibility_transfer_holds(F_CUBE, w, S235, bit_cap=5)
+
+
 def test_principal_generator_examples():
     p7a, p7b = factor_rational_prime(F2, 7)
     g = principal_generator(p7a, 1)
