@@ -483,13 +483,14 @@ def make_field(kind: str, D: int | None = None, disc_cap: int = DISC_CAP) -> Fie
         raise FieldError(f"unknown field kind {kind!r}")
     if D is None or D in (0, 1):
         raise FieldError("quadratic field needs squarefree D != 0, 1")
-    if not _is_squarefree(D):
-        raise FieldError(f"D = {D} is not squarefree")
     f = FieldSpec("quadratic", D)
+    # the cap first: below it, factoring D for the squarefree test is cheap
     if abs(f.discriminant) > disc_cap:
         raise FieldError(
             f"field too large: |discriminant| = {abs(f.discriminant)} > {disc_cap}"
         )
+    if not _is_squarefree(D):
+        raise FieldError(f"D = {D} is not squarefree")
     f.delta = math.log(2) / 2
     if D > 0:
         f.unit_rank = 1

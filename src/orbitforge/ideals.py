@@ -63,12 +63,14 @@ class PrimeIdealRec:
 
 
 def factor_rational_prime(field: FieldSpec, p: int) -> list[PrimeIdealRec]:
-    """All prime ideals above p, with e, f and two-element representations."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """All prime ideals above p, with e, f and two-element representations.
+
+    The per-field cache is read first: p enters it only once proved prime."""
     cached = field._splitting_cache.get(p)
     if cached is not None:
         return list(cached)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if field.degree == 1:
         out = [PrimeIdealRec(field, p, 1, 1, "rational", None)]
         field._splitting_cache[p] = tuple(out)
@@ -257,6 +259,8 @@ class SSet:
             sorted(seen.values(), key=lambda P: (P.p, P.kind))
         )
         self.archimedean: tuple[Place, ...] = tuple(archimedean_places(field))
+        self._keys = frozenset(seen)
+        self._fullness: tuple[tuple[int, ...], tuple[PrimeIdealRec, ...]] | None = None
 
     @property
     def t(self) -> int:
@@ -284,10 +288,30 @@ class SSet:
         return sum(log_star(math.log(P.norm)) for P in self.ideals)
 
     def contains_ideal(self, P: PrimeIdealRec) -> bool:
-        return (P.p, P.kind) in {(q.p, q.kind) for q in self.ideals}
+        return (P.p, P.kind) in self._keys
+
+    def key(self) -> frozenset:
+        return self._keys
 
     def rational_primes(self) -> list[int]:
         return sorted({P.p for P in self.ideals})
+
+    def fullness(self) -> tuple[tuple[int, ...], tuple[PrimeIdealRec, ...]]:
+        """(full primes, lone ideals), computed once.
+
+        A full prime is a rational prime p every ideal above which is in S;
+        the lone ideals are those of S above the other primes of S (one
+        ideal of a split p)."""
+        if self._fullness is None:
+            full, lone = [], []
+            for p in self.rational_primes():
+                above = factor_rational_prime(self.field, p)
+                if all(self.contains_ideal(P) for P in above):
+                    full.append(p)
+                else:
+                    lone.extend(P for P in self.ideals if P.p == p)
+            self._fullness = (tuple(full), tuple(lone))
+        return self._fullness
 
     def places(self) -> list[Place]:
         return list(self.archimedean) + [finite_place(P) for P in self.ideals]

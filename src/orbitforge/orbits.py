@@ -62,7 +62,7 @@ class OrbitRecord:
 
     def norm_outside_S(self, k: int, S: SSet) -> int:
         """_norm_outside_S of the k-th iterate, computed once per S."""
-        key = (k, tuple(P.key() for P in S.ideals))
+        key = (k, S.key())
         if key not in self._norms_outside_S:
             self._norms_outside_S[key] = _norm_outside_S(self.iterates[k], S)
         return self._norms_outside_S[key]
@@ -156,16 +156,16 @@ def is_s_integer(x: NFElement, S: SSet) -> bool:
     """|x|_v <= 1 at every place outside S, decided from exact orders.
 
     Denominator primes with no ideal in S refute membership outright, so
-    no factorization of large cofactors is ever needed.
+    no factorization of large cofactors is ever needed; exact orders are
+    needed only above the primes of S that are not full (SSet.fullness).
     """
     if x.is_zero():
         return True
     _, m = x.integral_parts()
-    s_primes = S.rational_primes()
-    rest, _ = strip_primes(m, s_primes)
+    rest, _ = strip_primes(m, S.rational_primes())
     if rest > 1:
         return False
-    for p in s_primes:
+    for p in sorted({P.p for P in S.fullness()[1]}):
         for P in factor_rational_prime(x.field, p):
             if not S.contains_ideal(P) and ord_ideal(x, P) < 0:
                 return False
@@ -237,14 +237,19 @@ def check_s_integer_ratio(
 
 def _norm_outside_S(x: NFElement, S: SSet) -> int:
     """|Nm x| / prod_{P in S} Nm(P)^ord_P(x): the norm of the part of [x]
-    away from S, from exact orders at the ideals of S only."""
+    away from S.  The ideals above a full prime p of S together take
+    p^v_p(Nm x), so one strip removes every full prime; exact orders are
+    taken only at the lone ideals of S."""
     if not x.is_integral():
         raise ValueError(
             "dependence checks need integral iterates: alpha must lie in the "
             "ring of integers"
         )
+    full, lone = S.fullness()
     out = abs(x.norm().numerator)
-    for P in S.ideals:
+    if full:
+        out, _ = strip_primes(out, full)
+    for P in lone:
         out //= P.norm ** ord_ideal(x, P)
     return out
 
@@ -373,7 +378,9 @@ def divisibility_transfer_holds(
 
     For integral f^(m)(alpha) that is the case exactly when
     f^(m-n)(0) / f^(m)(alpha) is an S-integer, so nothing is factored.
-    Raises ValueError when either orbit passes bit_cap.
+    Raises ValueError when either orbit passes bit_cap.  The dependence
+    scan applies the norm form of this lemma, N_out(f^(m)(alpha)) dividing
+    |Nm f^(m-n)(0)|, as a prefilter (search._scan_alpha).
     """
     if witness.kind != "s_integer_ratio":
         raise ValueError("transfer check applies to ratio witnesses")

@@ -29,6 +29,7 @@ from .ideals import SSet, _minpoly_coeffs
 from .intfactor import DEFAULT_RHO_BUDGET, IncompleteFactorization
 from .orbits import (
     DEFAULT_BIT_CAP,
+    OrbitRecord,
     check_power_dependence,
     check_s_integer_ratio,
     is_s_unit,
@@ -176,9 +177,16 @@ def search_dependence(cfg: SearchConfig) -> CampaignReport:
         rows.append({"type": "skip", "alpha": None, "m": None, "n": None,
                      "reason": "element-cap truncated the scan"})
         partial = True
+    # alpha = 0 is always enumerated (height 0) and shares this orbit
+    zero_orbit = iterate_orbit(cfg.f, 0, cfg.m_max, cfg.bit_cap)
+    c_norms = _transfer_norms(cfg.f, zero_orbit)
     collected: list[tuple[tuple, dict]] = []
     for alpha in elements:
-        for entry in _scan_alpha(cfg, alpha):
+        orbit = (
+            zero_orbit if alpha.is_zero()
+            else iterate_orbit(cfg.f, alpha, cfg.m_max, cfg.bit_cap)
+        )
+        for entry in _scan_alpha(orbit, cfg.S, c_norms):
             key = (
                 _element_sort_key(alpha),
                 entry.get("m") or 0,
@@ -195,30 +203,62 @@ def search_dependence(cfg: SearchConfig) -> CampaignReport:
     return CampaignReport("search-dependence", cfg.provenance(), rows, partial)
 
 
-def _scan_alpha(cfg: SearchConfig, alpha: NFElement):
-    orbit = iterate_orbit(cfg.f, alpha, cfg.m_max, cfg.bit_cap)
+def _transfer_norms(f: Polynomial, zero_orbit: OrbitRecord) -> tuple[int, ...]:
+    """|Nm f^(j)(0)| for j up to the length of the orbit of 0; empty, which
+    turns the prefilter of _scan_alpha off, unless f is integral."""
+    if not f.is_integral():
+        return ()
+    return tuple(abs(c.norm().numerator) for c in zero_orbit.iterates)
+
+
+def _strip_common(y: int, c: int) -> int:
+    """y without the primes it shares with c."""
+    g = math.gcd(y, c)
+    while g > 1:
+        y //= g
+        g = math.gcd(y, g)
+    return y
+
+
+def _scan_alpha(orbit: OrbitRecord, S: SSet, c_norms: tuple[int, ...]):
+    """The skip row and the witness rows of the pairs m > n of the orbit record.
+
+    With integral f and alpha, x_m = f^(m-n)(x_n) is c = f^(m-n)(0) modulo
+    x_n (the divisibility transfer), so in norms, with N_out the norm of
+    the part away from S: a ratio witness needs N_out(x_m) | Nm c, and a
+    power witness with N_out(x_m), N_out(x_n) > 1 needs every prime of
+    N_out(x_n) to divide Nm c.  Pairs failing that are rejected before the
+    exact checks, which decide the rest; c_norms[j] = |Nm f^(j)(0)| (see
+    _transfer_norms), and pairs with m - n past it are not filtered.
+    """
     out = []
     if orbit.truncated:
         out.append(
             {
                 "type": "skip",
-                "alpha": alpha.as_string(),
+                "alpha": orbit.alpha.as_string(),
                 "m": None,
                 "n": None,
                 "reason": f"bit-cap at iterate {orbit.length + 1}",
             }
         )
+    if not orbit.alpha.is_integral():
+        c_norms = ()
     for m in range(1, orbit.length + 1):
         if orbit.iterates[m].is_zero():
             continue
+        X = orbit.norm_outside_S(m, S) if c_norms else None
         for n in range(0, m):
-            w = check_s_integer_ratio(orbit, m, n, cfg.S)
-            if w is not None:
-                out.append(w.row())
-            if n >= 1 and not orbit.iterates[n].is_zero():
-                w = check_power_dependence(orbit, m, n, cfg.S)
+            c = c_norms[m - n] if m - n < len(c_norms) else None
+            if c is None or c % X == 0:
+                w = check_s_integer_ratio(orbit, m, n, S)
                 if w is not None:
                     out.append(w.row())
+            if n >= 1 and not orbit.iterates[n].is_zero():
+                if c is None or X == 1 or _strip_common(orbit.norm_outside_S(n, S), c) == 1:
+                    w = check_power_dependence(orbit, m, n, S)
+                    if w is not None:
+                        out.append(w.row())
     return out
 
 

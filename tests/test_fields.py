@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,16 @@ def test_make_field_rejections():
         make_field("quadratic", 1)
     with pytest.raises(FieldError):
         make_field("quadratic", 10**7 + 3)  # disc above the cap
+
+
+def test_make_field_tests_the_cap_before_factoring():
+    # (2^61 - 1)(2^89 - 1): two large prime factors, so the squarefree test
+    # would spend its whole rho budget before the cap refused the field
+    D = (2**61 - 1) * (2**89 - 1)
+    t0 = time.perf_counter()
+    with pytest.raises(FieldError, match="field too large"):
+        make_field("quadratic", D)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_class_numbers():

@@ -73,6 +73,34 @@ def test_factor_rational_prime_rejects_composite():
         factor_rational_prime(Q, 318665857834031151167461)
 
 
+def test_factor_rational_prime_proves_each_prime_once(monkeypatch):
+    # the per-field splitting cache is read before the primality proof, and
+    # only proved primes enter it, so a composite is refused on every call
+    from orbitforge import ideals
+
+    fields = [make_field("rational"), make_field("quadratic", 2), make_field("quadratic", -5)]
+    primes = (2, 3, 5, 7, 10007)
+    fresh = sorted(p for F in fields for p in primes if p not in F._splitting_cache)
+    assert 10007 in fresh
+    calls = []
+    plain = ideals.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return plain(n)
+
+    monkeypatch.setattr(ideals, "is_prime", counted)
+    for _ in range(3):
+        for F in fields:
+            for p in primes:
+                assert factor_rational_prime(F, p) == factor_rational_prime(F, p)
+    assert sorted(calls) == fresh
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not prime"):
+            factor_rational_prime(fields[1], 318665857834031151167461)
+    assert calls[len(fresh):] == [318665857834031151167461] * 2
+
+
 def test_ord_examples():
     Q = make_field("rational")
     two = ideals_above(Q, 2)[0]

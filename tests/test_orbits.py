@@ -434,6 +434,45 @@ def test_orbit_norm_memo_is_kept_per_S():
     assert w is not None and (w.r, w.s) == (1, 3)
 
 
+def _norm_outside_S_per_ideal(x, S):
+    """|Nm x| // prod_{P in S} Nm(P)^ord_P(x), one exact order per ideal."""
+    out = abs(x.norm().numerator)
+    for P in S.ideals:
+        out //= P.norm ** ord_ideal(x, P)
+    return out
+
+
+def test_norm_outside_S_matches_per_ideal_oracle():
+    # S draws each ideal above 2..13 independently, so it mixes full primes
+    # (split, inert and ramified) with lone split ideals; x carries powers of
+    # small primes and of small elements, whose orders at the two ideals of
+    # a split prime differ
+    from orbitforge.orbits import _norm_outside_S
+
+    rng = random.Random(20201)
+    primes = (2, 3, 5, 7, 11, 13)
+    full_kinds, lone = set(), 0
+    for F in (Q, F2, Fm5, Fm1):
+        above = {p: factor_rational_prime(F, p) for p in primes}
+
+        def small(span):
+            return F.element(rng.randint(-span, span), rng.randint(-span, span) if F.degree == 2 else 0)
+
+        for _ in range(150):
+            S = SSet(F, [P for p in primes for P in above[p] if rng.random() < 0.6])
+            full, lone_ideals = S.fullness()
+            full_kinds.update(P.kind for P in S.ideals if P.p in full)
+            lone += len(lone_ideals)
+            x = small(10**4)
+            for _ in range(rng.randint(0, 4)):
+                x = x * F.element(rng.choice(primes)) * small(4) ** rng.randint(1, 3)
+            if x.is_zero():
+                continue
+            assert _norm_outside_S(x, S) == _norm_outside_S_per_ideal(x, S), (F, x, S)
+    assert {"rational", "split-a", "split-b", "inert", "ramified"} <= full_kinds
+    assert lone > 0
+
+
 def test_find_primitive_divisor_examples():
     res = find_primitive_divisor(F_SQ1, 1, 3, 3)
     assert res.primitive_prime is not None and res.primitive_prime.norm == 13

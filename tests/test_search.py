@@ -1,17 +1,26 @@
+import json
 import math
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orbitforge.constants import SplittingData
 from orbitforge.fields import FieldSpec, make_field
 from orbitforge.ideals import SSet, factor_rational_prime
-from orbitforge.orbits import is_zero_periodic, iterate_orbit
+from orbitforge.orbits import (
+    check_power_dependence,
+    check_s_integer_ratio,
+    is_zero_periodic,
+    iterate_orbit,
+)
 from orbitforge.polynomials import Polynomial
 from orbitforge.search import (
     CampaignReport,
+    _scan_alpha,
+    _transfer_norms,
     SearchConfig,
     lambda_growth_report,
     ring_elements_capped,
@@ -22,6 +31,7 @@ from orbitforge.search import (
 
 Q = make_field("rational")
 F2 = make_field("quadratic", 2)
+Fm5 = make_field("quadratic", -5)
 
 
 def S_of(field, *primes):
@@ -300,6 +310,127 @@ def test_dependence_search_takes_each_norm_away_from_S_once(monkeypatch):
     rep = search_dependence(cfg)
     assert rep.witness_rows() and not rep.partial
     assert 0 < calls[0] <= nonzero_iterates
+
+
+def _all_pairs(orbit, S):
+    """The rows of both exact checks on every pair, with no prefilter."""
+    out = []
+    if orbit.truncated:
+        out.append({"type": "skip", "alpha": orbit.alpha.as_string(), "m": None, "n": None,
+                    "reason": f"bit-cap at iterate {orbit.length + 1}"})
+    for m in range(1, orbit.length + 1):
+        if orbit.iterates[m].is_zero():
+            continue
+        for n in range(m):
+            w = check_s_integer_ratio(orbit, m, n, S)
+            if w is not None:
+                out.append(w.row())
+            if n >= 1 and not orbit.iterates[n].is_zero():
+                w = check_power_dependence(orbit, m, n, S)
+                if w is not None:
+                    out.append(w.row())
+    return out
+
+
+_SCAN_HEIGHT = {Q: math.log(8), F2: 0.9, Fm5: 1.2}
+
+
+@st.composite
+def _scan_case(draw):
+    F = draw(st.sampled_from([Q, F2, Fm5]))
+
+    def element(span):
+        b = draw(st.integers(-span, span)) if F.degree == 2 else 0
+        return F.element(draw(st.integers(-span, span)), b)
+
+    coeffs = [element(3) for _ in range(draw(st.integers(2, 3)))] + [element(1)]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = F.one()
+    f = Polynomial(F, coeffs)
+    assume(is_zero_periodic(f) is False)
+    ideals = []
+    for p in (2, 3, 5, 7, 11):
+        above = factor_rational_prime(F, p)
+        pick = draw(st.sampled_from(["none", "full", "lone"]))
+        if pick == "full":
+            ideals.extend(above)
+        elif pick == "lone":
+            ideals.append(draw(st.sampled_from(above)))
+    m_max = draw(st.integers(2, 4))
+    # half the time, a cap just below the bits of c_cut truncates the orbit
+    # of 0 by then
+    zero = iterate_orbit(f, 0, m_max)
+    cut = draw(st.integers(1, 2 * m_max))
+    bit_cap = zero.iterates[cut].bit_size() - 1 if cut <= zero.length else 10**6
+    return f, SSet(F, ideals), m_max, bit_cap
+
+
+@settings(max_examples=100)
+@given(_scan_case())
+def test_scan_prefilter_keeps_every_witness(case):
+    # the divisibility-transfer prefilter only rejects: _scan_alpha gives the
+    # rows of both exact checks run on every pair of the same orbit record,
+    # for orbits under the campaign's cap and, so that pairs with m - n past
+    # a cut orbit of 0 occur, under no cap
+    f, S, m_max, bit_cap = case
+    c_norms = _transfer_norms(f, iterate_orbit(f, 0, m_max, bit_cap))
+    for alpha in ring_elements_capped(f.field, _SCAN_HEIGHT[f.field])[0]:
+        for cap in {bit_cap, 10**6}:
+            orbit = iterate_orbit(f, alpha, m_max, cap)
+            assert _scan_alpha(orbit, S, c_norms) == _all_pairs(orbit, S), (alpha, cap)
+
+
+def test_scan_prefilter_is_off_outside_the_ring_of_integers():
+    # the transfer needs integral f and alpha; otherwise every pair goes to
+    # the exact checks, which raise for a non-integral iterate as before
+    S = S_of(Q, 2)
+    f = Polynomial(Q, [Fraction(1, 2), 0, 1])
+    c_norms = _transfer_norms(f, iterate_orbit(f, 0, 3))
+    assert c_norms == ()
+    for scan in (_all_pairs, lambda orbit, S: _scan_alpha(orbit, S, c_norms)):
+        with pytest.raises(ValueError, match="integral iterates"):
+            scan(iterate_orbit(f, 1, 3), S)
+    # integral f, alpha = 1/2: the one pair, x_0 / x_1 = (1/2) / (21/8), is a
+    # ratio witness over {2, 3, 7}, found by the exact check
+    g = Polynomial(Q, [3, -1, 0, 1])
+    c_norms = _transfer_norms(g, iterate_orbit(g, 0, 1))
+    assert c_norms == (0, 3)
+    orbit = iterate_orbit(g, Fraction(1, 2), 1)
+    S = S_of(Q, 2, 3, 7)
+    assert _scan_alpha(orbit, S, c_norms) == _all_pairs(orbit, S) != []
+
+
+def test_dependence_search_runs_exact_checks_only_past_the_prefilter(monkeypatch):
+    # the acceptance campaign: 101 alphas, 1,010 ratio and 606 power pairs,
+    # of which the prefilter passes 19 and 28 to the exact checks
+    from orbitforge import orbits, search
+
+    cfg = SearchConfig(field=Q, f=Polynomial(Q, [3, -1, 0, 1]), S=S_of(Q, 2, 3, 5),
+                       height_cap=math.log(50), m_max=4)
+    orbit_list = [iterate_orbit(cfg.f, a, cfg.m_max, cfg.bit_cap)
+                  for a in ring_elements_capped(Q, cfg.height_cap)[0]]
+    assert len(orbit_list) == 101
+    ratio_pairs = sum(1 for o in orbit_list for m in range(1, o.length + 1) for n in range(m)
+                      if not o.iterates[m].is_zero())
+    power_pairs = sum(1 for o in orbit_list for m in range(1, o.length + 1) for n in range(1, m)
+                      if not (o.iterates[m].is_zero() or o.iterates[n].is_zero()))
+    assert (ratio_pairs, power_pairs) == (1010, 606)
+    oracle = sorted(json.dumps(r, sort_keys=True) for o in orbit_list for r in _all_pairs(o, cfg.S))
+    calls = {"ratio": 0, "power": 0, "ord_ideal": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(search, "check_s_integer_ratio", counted("ratio", check_s_integer_ratio))
+    monkeypatch.setattr(search, "check_power_dependence", counted("power", check_power_dependence))
+    monkeypatch.setattr(orbits, "ord_ideal", counted("ord_ideal", orbits.ord_ideal))
+    rep = search_dependence(cfg)
+    assert calls == {"ratio": 19, "power": 28, "ord_ideal": 0}
+    got = sorted(json.dumps(r, sort_keys=True) for r in rep.witness_rows())
+    assert got == oracle and len(got) == 42
 
 
 def test_quadratic_campaign_at_m_max_3_finishes():
