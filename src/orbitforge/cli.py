@@ -178,7 +178,7 @@ def _cmd_constants(cfg: RunConfig, cache):
         zp = is_zero_periodic(cfg.poly, bit_cap=cfg.bit_cap)
         if zp is None:
             raise ValueError(f"0-periodicity unknown within the bit cap of {cfg.bit_cap} bits")
-        sp = cfg.splitting_override() or resolve_splitting(field, cfg.poly)
+        sp = cfg.splitting_override() or resolve_splitting(field, cfg.poly, budget=cfg.factor_budget)
         rep = northcott_bound(field, cfg.poly, cfg.S, cfg.c_params, sp, zero_periodic=zp)
         rows.extend(rep.rows())
         h_beta = float(cfg.run_options.get("h_beta", 0.0))

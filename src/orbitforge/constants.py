@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field, asdict
 
 from .fields import FieldSpec, make_field
 from .ideals import SSet, factor_rational_prime
+from .intfactor import DEFAULT_RHO_BUDGET
 from .polynomials import Polynomial, splitting_degree, splitting_field_disc
 
 
@@ -123,12 +124,15 @@ def resolve_splitting(
     degree_D: int | None = None,
     class_number_L: int | None = None,
     regulator_L: float | None = None,
+    budget: int = DEFAULT_RHO_BUDGET,
 ) -> SplittingData:
     """Determine splitting-field parameters, computing them when decidable.
 
     D comes from root analysis (and the cubic discriminant test over Q);
     the class number is computed when the splitting field is the base
     field or a quadratic field over Q, and must be configured otherwise.
+    Factoring the discriminant of a quadratic splitting field is bounded
+    by budget (IncompleteFactorization past it).
     """
     if degree_D is not None:
         return SplittingData(degree_D, class_number_L, regulator_L, "config")
@@ -142,7 +146,7 @@ def resolve_splitting(
             1, field.class_number, field.regulator, "computed"
         )
     if D == 2 and field.degree == 1:
-        m = splitting_field_disc(f)
+        m = splitting_field_disc(f, budget)
         if m is not None:
             L = make_field("quadratic", m)
             return SplittingData(2, L.class_number, L.regulator, "computed")

@@ -38,6 +38,8 @@ from .polynomials import Polynomial, splitting_degree
 
 DEFAULT_BIT_CAP = 10**6
 CYCLE_STEP_CAP = 64
+# rows of the principal_generator box; one row costs a few microseconds
+GENERATOR_ROW_CAP = 10**6
 
 
 @dataclass
@@ -418,7 +420,8 @@ def principal_generator(P: PrimeIdealRec, power: int) -> NFElement:
 
     Enumerates short lattice elements of the right norm and order; raises
     GeneratorSearchError rather than guessing when the search box is
-    exhausted.
+    exhausted, or before scanning it when it has more than
+    GENERATOR_ROW_CAP rows.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -432,6 +435,13 @@ def principal_generator(P: PrimeIdealRec, power: int) -> NFElement:
     target = P.norm**power
     D = field.D
     reg = field.regulator if field.unit_rank else 0.0
+    # the row count 2*sqrt(target * e^reg / |D|), in logs: e^reg can overflow
+    log_rows = 0.5 * (power * math.log(P.norm) + reg - math.log(abs(D))) + math.log(2)
+    if log_rows > math.log(GENERATOR_ROW_CAP):
+        raise GeneratorSearchError(
+            f"the generator search for {P!r}^{power} needs ~10^{log_rows / math.log(10):.1f}"
+            f" rows, over GENERATOR_ROW_CAP = {GENERATOR_ROW_CAP}"
+        )
     bound = int(2 * math.sqrt(target * math.exp(reg) / abs(D))) + 2
     candidates = []
     for b in range(0, bound + 1):

@@ -8,20 +8,17 @@ base field, and the discriminant test for an irreducible cubic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .fields import FieldSpec, NFElement
+from .fields import FieldSpec, NFElement, make_field
+from .intfactor import DEFAULT_RHO_BUDGET, factorize, is_prime
 
 
 class Polynomial:
     def __init__(self, field: FieldSpec, coeffs):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, NFElement):
-                cs.append(c)
-            else:
-                cs.append(field.element(c))
+        cs = [c if isinstance(c, NFElement) else field.element(c) for c in coeffs]
         while len(cs) > 1 and cs[-1].is_zero():
             cs.pop()
         self.field = field
@@ -49,11 +46,7 @@ class Polynomial:
         return out
 
     def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial(self.field, [0])
-        return Polynomial(
-            self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
-        )
+        return Polynomial(self.field, [c * i for i, c in enumerate(self.coeffs)][1:] or [0])
 
     def iterate_value(self, x, n: int) -> NFElement:
         """The n-th forward image of x; n = 0 returns x itself."""
@@ -98,7 +91,7 @@ def _divmod_poly(num: Polynomial, den: Polynomial):
     r = list(num.coeffs)
     d = den.degree
     lead_inv = den.leading.inverse()
-    while len(r) - 1 >= d and not all(c.is_zero() for c in r):
+    while len(r) - 1 >= d and not r[-1].is_zero():  # r stays trimmed: zero is [0]
         k = len(r) - 1 - d
         t = r[-1] * lead_inv
         q[k] = t
@@ -106,18 +99,13 @@ def _divmod_poly(num: Polynomial, den: Polynomial):
             r[k + i] = r[k + i] - t * den.coeffs[i]
         while len(r) > 1 and r[-1].is_zero():
             r.pop()
-        if len(r) - 1 < d:
-            break
     return Polynomial(field, q), Polynomial(field, r)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm over the field."""
-    while b.degree >= 0 and not all(c.is_zero() for c in b.coeffs):
-        _, r = _divmod_poly(a, b)
-        a, b = b, r
-        if b.degree < 0 or all(c.is_zero() for c in b.coeffs):
-            break
+    while b.degree >= 0:
+        a, b = b, _divmod_poly(a, b)[1]
     if a.degree < 0:
         return a
     return Polynomial(a.field, [c * a.leading.inverse() for c in a.coeffs])
@@ -126,6 +114,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 # roots in the base field / splitting degree
 # ---------------------------------------------------------------------------
+
+# the rational-root search works over Q whatever the base field
+_RATIONAL = make_field("rational")
 
 
 def _rational_square_root(q: Fraction):
@@ -151,7 +142,7 @@ def square_root_in_field(field: FieldSpec, delta: NFElement):
             return field.element(r)
         r = _rational_square_root(alpha / D)
         if r is not None:
-            return _times_sqrtd(field, r)
+            return _from_sqrtd_coords(field, Fraction(0), r)
         return None
     # (u + v*sqrt(D))^2 = delta: u^2 + D v^2 = alpha, 2uv = beta
     g = _rational_square_root(alpha * alpha - beta * beta * D)
@@ -175,71 +166,82 @@ def _from_sqrtd_coords(field: FieldSpec, u: Fraction, v: Fraction) -> NFElement:
     return field.element(u, v)
 
 
-def _times_sqrtd(field: FieldSpec, r: Fraction) -> NFElement:
-    return _from_sqrtd_coords(field, Fraction(0), r)
-
-
 def roots_in_field(f: Polynomial) -> list[NFElement]:
-    """All roots of f lying in the base field, peeled greedily.
+    """All roots of f lying in the base field, with multiplicity.
 
-    Rational roots come from the rational root theorem after clearing
-    denominators; a remaining quadratic factor is solved by the square
-    test in the field.  A remaining factor of degree >= 3 is left alone.
+    Rational roots come first, ordered by |numerator|, then denominator,
+    then sign; the two roots of a remaining quadratic factor that splits
+    by the square test in the field follow.  A remaining factor of
+    degree >= 3 is left alone.
     """
+    return _peel(f)[0]
+
+
+def _peel(f: Polynomial) -> tuple[list[NFElement], Polynomial]:
+    """(roots of f in the base field, the cofactor left after dividing them out)."""
     field = f.field
+    if f.degree < 1:
+        return [], f
     roots: list[NFElement] = []
     g = f
-    # peel rational roots
-    changed = True
-    while changed and g.degree >= 1:
-        changed = False
-        for r in _rational_root_candidates(g):
-            val = g(field.element(r))
-            if val.is_zero():
-                roots.append(field.element(r))
-                g, _ = _divmod_poly(g, Polynomial(field, [-r, 1]))
-                changed = True
-                break
+    for q in sorted(_rational_roots(f), key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
+        r = field.element(q)
+        while g(r).is_zero():
+            roots.append(r)
+            g, _ = _divmod_poly(g, Polynomial(field, [-r, 1]))
     if g.degree == 2:
         c0, c1, c2 = g.coeffs
-        delta = c1 * c1 - 4 * c0 * c2
-        y = square_root_in_field(field, delta)
+        y = square_root_in_field(field, c1 * c1 - 4 * c0 * c2)
         if y is not None:
-            for sign in (1, -1):
-                roots.append((-c1 + (y if sign == 1 else -y)) / (2 * c2))
+            roots += [(-c1 + y) / (2 * c2), (-c1 - y) / (2 * c2)]
             g = Polynomial(field, [g.leading])
-    return roots
+    return roots, g
 
 
-def _rational_root_candidates(g: Polynomial):
-    """Rational candidates p/q from the scaled integer coefficients."""
-    scale = 1
-    for c in g.coeffs:
-        if c.b != 0:
-            return  # irrational coefficients: no rational-root theorem
-        scale = scale * c.a.denominator // math.gcd(scale, c.a.denominator)
+def _rational_roots(f: Polynomial) -> list[Fraction]:
+    """The distinct rational roots of f (degree >= 1), by p-adic lifting.
+
+    Loos's method (SIAM J. Comput. 12 (1983)): let g be the squarefree part
+    of f with integer coefficients and leading coefficient a.  The monic
+    G(y) = a^(d-1) g(y/a) has the integer roots y = a*x, each with
+    |y| <= B = 1 + max|G_i|.  Modulo the first prime p > d at which every
+    root of G is simple (only primes dividing disc(G) != 0 fail), each
+    root is Newton-lifted past 2B, and its symmetric residue is tested
+    exactly.  A coefficient outside Q gives no roots.
+    """
+    if any(c.b != 0 for c in f.coeffs):
+        return []
+    g = Polynomial(_RATIONAL, [c.a for c in f.coeffs])
+    g, _ = _divmod_poly(g, poly_gcd(g, g.derivative()))
+    scale = math.lcm(*(c.a.denominator for c in g.coeffs))
     ints = [int(c.a * scale) for c in g.coeffs]
-    lead = ints[-1]
-    # strip trailing zero constant terms: 0 is then a root
-    if ints[0] == 0:
-        yield Fraction(0)
-        return
-    const = abs(ints[0])
-    for dp in _divisors(const):
-        for dq in _divisors(abs(lead)):
-            yield Fraction(dp, dq)
-            yield Fraction(-dp, dq)
+    d, a = len(ints) - 1, ints[-1]
+    G = [c * a ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    dG = [i * c for i, c in enumerate(G)][1:]
+    B = 1 + max(abs(c) for c in G)
+    for p in filter(is_prime, itertools.count(d + 1)):
+        Gp = [c % p for c in G]
+        residues = [r for r in range(p) if _horner(Gp, r) % p == 0]
+        if all(_horner(dG, r) % p for r in residues):
+            break  # every root mod p is simple, so each lifts to one p-adic root
+    out = []
+    for y in residues:
+        m = p
+        while m <= 2 * B:
+            m *= m
+            y = (y - _horner(G, y) * pow(_horner(dG, y), -1, m)) % m
+        if 2 * y > m:
+            y -= m
+        if _horner(G, y) == 0:  # exact: no modulus can accept a false root
+            out.append(Fraction(y, a))
+    return out
 
 
-def _divisors(n: int):
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
+def _horner(coeffs: list[int], x: int) -> int:
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def splitting_degree(f: Polynomial) -> int | None:
@@ -249,22 +251,10 @@ def splitting_degree(f: Polynomial) -> int | None:
     irreducible quadratic, 3 or 6 for a leftover irreducible cubic over Q
     (discriminant-square test), and None when undecidable here.
     """
-    field = f.field
-    g = f
-    for r in roots_in_field(f):
-        while True:
-            q, rem = _divmod_poly(g, Polynomial(field, [-r, 1]))
-            if rem.degree <= 0 and rem.coeffs[0].is_zero():
-                g = q
-            else:
-                break
+    g = _peel(f)[1]
     if g.degree <= 0:
         return 1
     if g.degree == 2:
-        c0, c1, c2 = g.coeffs
-        delta = c1 * c1 - 4 * c0 * c2
-        if square_root_in_field(field, delta) is not None:
-            return 1  # should have been peeled; defensive
         return 2
     if g.degree == 3:
         c0, c1, c2, c3 = g.coeffs
@@ -275,33 +265,27 @@ def splitting_degree(f: Polynomial) -> int | None:
             - 4 * c3 * c1**3
             - 27 * c3**2 * c0**2
         )
-        if square_root_in_field(field, disc) is not None:
+        if square_root_in_field(f.field, disc) is not None:
             return 3
         return 6
     return None
 
 
-def splitting_field_disc(f: Polynomial) -> int | None:
-    """For splitting degree 2 over Q: squarefree m with L = Q(sqrt(m))."""
-    if f.field.degree != 1 or splitting_degree(f) != 2:
+def splitting_field_disc(f: Polynomial, budget: int = DEFAULT_RHO_BUDGET) -> int | None:
+    """For splitting degree 2 over Q: squarefree m with L = Q(sqrt(m)).
+
+    Factoring the discriminant raises IncompleteFactorization past budget.
+    """
+    if f.field.degree != 1:
         return None
-    g = f
-    for r in roots_in_field(f):
-        while True:
-            q, rem = _divmod_poly(g, Polynomial(f.field, [-r, 1]))
-            if rem.degree <= 0 and rem.coeffs[0].is_zero():
-                g = q
-            else:
-                break
+    g = _peel(f)[1]
     if g.degree != 2:
         return None
     c0, c1, c2 = g.coeffs
     delta = (c1 * c1 - 4 * c0 * c2).a
     m = delta.numerator * delta.denominator
     sf = 1
-    from .intfactor import factorize
-
-    for p, e in factorize(abs(m)).items():
+    for p, e in factorize(abs(m), budget).items():
         if e % 2:
             sf *= p
     return sf if m > 0 else -sf

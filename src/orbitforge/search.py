@@ -264,7 +264,7 @@ def _scan_alpha(orbit: OrbitRecord, S: SSet, c_norms: tuple[int, ...]):
 
 def _bound_annotation(cfg: SearchConfig) -> list[dict]:
     try:
-        sp = cfg.splitting or resolve_splitting(cfg.field, cfg.f)
+        sp = cfg.splitting or resolve_splitting(cfg.field, cfg.f, budget=cfg.factor_budget)
         rep = northcott_bound(
             cfg.field, cfg.f, cfg.S, cfg.c_params, sp, zero_periodic=False
         )
@@ -359,7 +359,7 @@ def verify_spart_empirical(cfg: SearchConfig, sample_count: int) -> CampaignRepo
         summary["max_rho"] = best[0]
         summary["argmax_alpha"] = best[1].as_string()
         summary["eta_empirical"] = eta_emp
-        sp = cfg.splitting or resolve_splitting(cfg.field, cfg.f)
+        sp = cfg.splitting or resolve_splitting(cfg.field, cfg.f, budget=cfg.factor_budget)
         e1 = eta1_inverse(cfg.field, cfg.f, cfg.S, CParams(), sp)
         summary["eta1_formula"] = 1.0 / e1
         if cfg.S.t > 0 and sp.class_number_L is not None:
