@@ -179,6 +179,16 @@ def load_config_text(text: str) -> RunConfig:
     height_cap = float(caps.get("height_cap", 0.0))
     if not math.isfinite(height_cap) or height_cap < 0:
         raise ConfigError("caps.height_cap must be a finite nonnegative number")
+    int_caps = {}
+    for key, default in (
+        ("m_max", DEFAULT_M_MAX),
+        ("bit_cap", DEFAULT_BIT_CAP),
+        ("factor_budget", DEFAULT_RHO_BUDGET),
+        ("element_cap", DEFAULT_ELEMENT_CAP),
+    ):
+        int_caps[key] = int(caps.get(key, default))
+        if int_caps[key] < 0:
+            raise ConfigError(f"caps.{key} must be a nonnegative integer")
 
     run = _parse_section(cp, "run")
     out = _parse_section(cp, "output")
@@ -189,10 +199,7 @@ def load_config_text(text: str) -> RunConfig:
         S=S,
         c_params=c_params,
         height_cap=height_cap,
-        m_max=int(caps.get("m_max", DEFAULT_M_MAX)),
-        bit_cap=int(caps.get("bit_cap", DEFAULT_BIT_CAP)),
-        factor_budget=int(caps.get("factor_budget", DEFAULT_RHO_BUDGET)),
-        element_cap=int(caps.get("element_cap", DEFAULT_ELEMENT_CAP)),
+        **int_caps,
         splitting_degree=splitting_degree,
         class_number_L=class_number_L,
         regulator_L=regulator_L,

@@ -3,7 +3,9 @@
 Coefficients are NFElement values stored lowest-degree first.  The module
 also resolves the degree of a splitting field where that is decidable
 with the machinery at hand: full root-peeling plus square tests in the
-base field, and the discriminant test for an irreducible cubic.
+base field, and the discriminant test for an irreducible cubic.  Each
+polynomial computes its squarefree part and its root peel once, on first
+use, and every later reader shares them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .fields import FieldSpec, NFElement, make_field
 from .intfactor import DEFAULT_RHO_BUDGET, factorize, is_prime
@@ -56,12 +59,39 @@ class Polynomial:
             x = self(x)
         return x
 
+    @cached_property
+    def squarefree_part(self) -> "Polynomial":
+        """f / gcd(f, f'), over Q when every coefficient is rational."""
+        f = self
+        if all(c.b == 0 for c in f.coeffs):
+            f = Polynomial(_RATIONAL, [c.a for c in f.coeffs])
+        return f if f.degree < 1 else _divmod_poly(f, poly_gcd(f, f.derivative()))[0]
+
+    @cached_property
+    def peeled(self) -> tuple[tuple[NFElement, ...], "Polynomial"]:
+        """(roots in the base field, the cofactor left after dividing them out)."""
+        field = self.field
+        if self.degree < 1:
+            return (), self
+        roots: list[NFElement] = []
+        g = self
+        for q in sorted(_rational_roots(self),
+                        key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
+            r = field.element(q)
+            while g(r).is_zero():
+                roots.append(r)
+                g, _ = _divmod_poly(g, Polynomial(field, [-r, 1]))
+        if g.degree == 2:
+            c0, c1, c2 = g.coeffs
+            y = square_root_in_field(field, c1 * c1 - 4 * c0 * c2)
+            if y is not None:
+                roots += [(-c1 + y) / (2 * c2), (-c1 - y) / (2 * c2)]
+                g = Polynomial(field, [g.leading])
+        return tuple(roots), g
+
     def distinct_root_count(self) -> int:
         """Number of distinct roots over an algebraic closure."""
-        if self.degree < 1:
-            return 0
-        g = poly_gcd(self, self.derivative())
-        return self.degree - g.degree
+        return max(self.squarefree_part.degree, 0)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -115,7 +145,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # roots in the base field / splitting degree
 # ---------------------------------------------------------------------------
 
-# the rational-root search works over Q whatever the base field
+# squarefree parts and rational-root searches work over Q whatever the base field
 _RATIONAL = make_field("rational")
 
 
@@ -174,28 +204,7 @@ def roots_in_field(f: Polynomial) -> list[NFElement]:
     by the square test in the field follow.  A remaining factor of
     degree >= 3 is left alone.
     """
-    return _peel(f)[0]
-
-
-def _peel(f: Polynomial) -> tuple[list[NFElement], Polynomial]:
-    """(roots of f in the base field, the cofactor left after dividing them out)."""
-    field = f.field
-    if f.degree < 1:
-        return [], f
-    roots: list[NFElement] = []
-    g = f
-    for q in sorted(_rational_roots(f), key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
-        r = field.element(q)
-        while g(r).is_zero():
-            roots.append(r)
-            g, _ = _divmod_poly(g, Polynomial(field, [-r, 1]))
-    if g.degree == 2:
-        c0, c1, c2 = g.coeffs
-        y = square_root_in_field(field, c1 * c1 - 4 * c0 * c2)
-        if y is not None:
-            roots += [(-c1 + y) / (2 * c2), (-c1 - y) / (2 * c2)]
-            g = Polynomial(field, [g.leading])
-    return roots, g
+    return list(f.peeled[0])
 
 
 def _rational_roots(f: Polynomial) -> list[Fraction]:
@@ -211,8 +220,7 @@ def _rational_roots(f: Polynomial) -> list[Fraction]:
     """
     if any(c.b != 0 for c in f.coeffs):
         return []
-    g = Polynomial(_RATIONAL, [c.a for c in f.coeffs])
-    g, _ = _divmod_poly(g, poly_gcd(g, g.derivative()))
+    g = f.squarefree_part
     scale = math.lcm(*(c.a.denominator for c in g.coeffs))
     ints = [int(c.a * scale) for c in g.coeffs]
     d, a = len(ints) - 1, ints[-1]
@@ -251,7 +259,7 @@ def splitting_degree(f: Polynomial) -> int | None:
     irreducible quadratic, 3 or 6 for a leftover irreducible cubic over Q
     (discriminant-square test), and None when undecidable here.
     """
-    g = _peel(f)[1]
+    g = f.peeled[1]
     if g.degree <= 0:
         return 1
     if g.degree == 2:
@@ -278,7 +286,7 @@ def splitting_field_disc(f: Polynomial, budget: int = DEFAULT_RHO_BUDGET) -> int
     """
     if f.field.degree != 1:
         return None
-    g = _peel(f)[1]
+    g = f.peeled[1]
     if g.degree != 2:
         return None
     c0, c1, c2 = g.coeffs

@@ -60,6 +60,9 @@ def test_config_rejections():
         load_config_text("[field]\nkind = rational\n\n[poly]\ncoeffs = 1/2,1\n")
     with pytest.raises(ConfigError):
         load_config_text("not ini at all [ ]][")
+    for key, value in (("m_max", -1), ("bit_cap", -5), ("factor_budget", -1), ("element_cap", -1)):
+        with pytest.raises(ConfigError, match=f"caps.{key}"):
+            load_config_text(MINIMAL + f"\n[caps]\n{key} = {value}\n")
 
 
 def test_s_selector_grammar():

@@ -5,6 +5,10 @@ and q dividing the leading coefficient of the scaled integer coefficients
 is tried in turn, each root found is divided out and the search restarts,
 and a leftover quadratic gets the square test in the field.  Its work grows
 with the divisor counts of the coefficients, so the draws keep them small.
+The distinct-root oracle is the old gcd over the base field.
+
+Each polynomial peels itself and takes its squarefree part once; the count
+tests hold the bound checks and the splitting data to one of each.
 """
 
 import contextlib
@@ -16,12 +20,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitforge.cli import run_command
+from orbitforge.config import load_config_text
 from orbitforge.constants import resolve_splitting
 from orbitforge.fields import make_field
 from orbitforge.intfactor import IncompleteFactorization, factorize
 from orbitforge.polynomials import (
     Polynomial,
     _divmod_poly,
+    poly_gcd,
     roots_in_field,
     splitting_degree,
     splitting_field_disc,
@@ -117,6 +124,12 @@ def _oracle_splitting_field_disc(f):
     return sf if m > 0 else -sf
 
 
+def _oracle_distinct_root_count(f):
+    if f.degree < 1:
+        return 0
+    return f.degree - poly_gcd(f, f.derivative()).degree
+
+
 # ---------------------------------------------------------------------------
 # draws
 # ---------------------------------------------------------------------------
@@ -154,12 +167,23 @@ def polynomials(draw):
     return _mul(f, Polynomial(field, tail))
 
 
+READERS = (roots_in_field, splitting_degree, splitting_field_disc, Polynomial.distinct_root_count)
+
+
 @settings(max_examples=300)
 @given(polynomials())
 def test_peel_matches_candidate_enumeration(f):
-    assert roots_in_field(f) == _oracle_roots(f)
-    assert splitting_degree(f) == _oracle_splitting_degree(f)
-    assert splitting_field_disc(f) == _oracle_splitting_field_disc(f)
+    oracle = [
+        _oracle_roots(f),
+        _oracle_splitting_degree(f),
+        _oracle_splitting_field_disc(f),
+        _oracle_distinct_root_count(Polynomial(f.field, f.coeffs)),
+    ]
+    first = [read(f) for read in READERS]
+    assert first == oracle
+    first[0].append(f.field.zero())  # a caller's list is its own, not the memo
+    second = [read(f) for read in reversed(READERS)][::-1]
+    assert second == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +240,57 @@ def test_splitting_field_disc_honours_the_factor_budget():
         splitting_field_disc(f, 1000)
     with pytest.raises(IncompleteFactorization):
         resolve_splitting(Q, f, budget=1000)
+
+
+# ---------------------------------------------------------------------------
+# one squarefree gcd and one peel per polynomial
+# ---------------------------------------------------------------------------
+
+
+def _ini(field, coeffs, S, caps=""):
+    return (
+        f"[field]\n{field}\n\n[poly]\ncoeffs = {coeffs}\n\n[sset]\nideals = {S}\n"
+        f"\n[caps]\n{caps}\n"
+    )
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    calls = {"gcd": 0, "peel": 0}
+    gcd, peel = poly_gcd, Polynomial.peeled.func
+
+    def counted_gcd(a, b):
+        calls["gcd"] += 1
+        return gcd(a, b)
+
+    def counted_peel(f):
+        calls["peel"] += 1
+        return peel(f)
+
+    monkeypatch.setattr("orbitforge.polynomials.poly_gcd", counted_gcd)
+    monkeypatch.setattr(Polynomial.peeled, "func", counted_peel)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command,ini",
+    [
+        ("constants", _ini("kind = quadratic\nd = 5", "-6,11,-6,1", "2,5,7")),
+        (
+            "search-dependence",
+            _ini("kind = rational", "3,-1,0,1", "2,3,5",
+                 f"height_cap = {math.log(200)!r}\nm_max = 4"),
+        ),
+    ],
+    ids=["constants-(x-1)(x-2)(x-3)-Q(sqrt5)", "search-dependence-x3-x+3-Q"],
+)
+def test_command_takes_one_gcd_and_one_peel(command, ini, counts, tmp_path):
+    cfg = load_config_text(ini)
+    assert run_command(command, cfg, str(tmp_path), None) == 0
+    assert counts == {"gcd": 1, "peel": 1}
+
+
+def test_resolve_splitting_peels_once(counts):
+    sp = resolve_splitting(Q, Polynomial(Q, [1, 0, 1]))
+    assert (sp.degree_D, sp.class_number_L) == (2, 1)
+    assert counts == {"gcd": 1, "peel": 1}
