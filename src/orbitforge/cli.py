@@ -38,23 +38,10 @@ from .orbits import (
 )
 from .search import (
     CampaignReport,
-    SearchConfig,
     lambda_growth_report,
     search_dependence,
     search_sunit_orbit_values,
     verify_spart_empirical,
-)
-
-COMMANDS = (
-    "heights",
-    "constants",
-    "orbit",
-    "witness",
-    "search-dependence",
-    "sunit-scan",
-    "primitive-divisors",
-    "lambda-report",
-    "verify-spart",
 )
 
 
@@ -92,21 +79,6 @@ def write_report(report: CampaignReport, out_dir: str, name: str):
     return jpath, cpath
 
 
-def _search_config(cfg: RunConfig) -> SearchConfig:
-    return SearchConfig(
-        field=cfg.field,
-        f=cfg.poly,
-        S=cfg.S,
-        height_cap=cfg.height_cap,
-        m_max=cfg.m_max,
-        bit_cap=cfg.bit_cap,
-        factor_budget=cfg.factor_budget,
-        element_cap=cfg.element_cap,
-        c_params=cfg.c_params,
-        splitting=cfg.splitting_override(),
-    )
-
-
 def _need(cfg: RunConfig, key: str) -> str:
     if key not in cfg.run_options:
         raise ConfigError(f"[run] {key} is required for this command")
@@ -117,12 +89,10 @@ def _alpha(cfg: RunConfig):
     return cfg.field.from_string(_need(cfg, "alpha"))
 
 
-def _provenance_report(cfg: RunConfig, kind: str, rows, partial: bool) -> CampaignReport:
-    prov = _search_config(cfg).provenance()
-    if cfg.poly is None:
-        prov["poly"] = None
+def _provenance_report(cfg: RunConfig, kind: str, rows) -> CampaignReport:
+    prov = cfg.provenance()
     prov.update({f"run_{k}": _jsonable(v) for k, v in sorted(cfg.run_options.items())})
-    return CampaignReport(kind, prov, rows, partial)
+    return CampaignReport(kind, prov, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +123,7 @@ def _cmd_heights(cfg: RunConfig, cache):
                 "lambda": st.lam,
             }
         )
-    return _provenance_report(cfg, "heights", rows, False)
+    return _provenance_report(cfg, "heights", rows)
 
 
 def _cmd_constants(cfg: RunConfig, cache):
@@ -174,12 +144,12 @@ def _cmd_constants(cfg: RunConfig, cache):
             "A2_1_1": A2(1, 1),
         }
     ]
-    if cfg.poly is not None:
-        zp = is_zero_periodic(cfg.poly, bit_cap=cfg.bit_cap)
+    if cfg.f is not None:
+        zp = is_zero_periodic(cfg.f, bit_cap=cfg.bit_cap)
         if zp is None:
             raise ValueError(f"0-periodicity unknown within the bit cap of {cfg.bit_cap} bits")
-        sp = cfg.splitting_override() or resolve_splitting(field, cfg.poly, budget=cfg.factor_budget)
-        rep = northcott_bound(field, cfg.poly, cfg.S, cfg.c_params, sp, zero_periodic=zp)
+        sp = cfg.splitting or resolve_splitting(field, cfg.f, budget=cfg.factor_budget)
+        rep = northcott_bound(field, cfg.f, cfg.S, cfg.c_params, sp, zero_periodic=zp)
         rows.extend(rep.rows())
         h_beta = float(cfg.run_options.get("h_beta", 0.0))
         rows.append(
@@ -192,13 +162,13 @@ def _cmd_constants(cfg: RunConfig, cache):
                 "h_beta": h_beta,
             }
         )
-    return _provenance_report(cfg, "constants", rows, False)
+    return _provenance_report(cfg, "constants", rows)
 
 
 def _cmd_orbit(cfg: RunConfig, cache):
     x = _alpha(cfg)
     m = int(cfg.run_options.get("m", cfg.m_max))
-    orb = iterate_orbit(cfg.poly, x, m, cfg.bit_cap)
+    orb = iterate_orbit(cfg.f, x, m, cfg.bit_cap)
     rows = []
     from .heights import height_value
 
@@ -211,22 +181,20 @@ def _cmd_orbit(cfg: RunConfig, cache):
                 "h": height_value(it),
             }
         )
-    partial = False
     if orb.truncated:
         rows.append({"type": "skip", "m": orb.length + 1, "reason": "bit-cap"})
-        partial = True
-    return _provenance_report(cfg, "orbit", rows, partial)
+    return _provenance_report(cfg, "orbit", rows)
 
 
 def _cmd_witness(cfg: RunConfig, cache):
     x = _alpha(cfg)
     m = int(_need(cfg, "m"))
     n = int(_need(cfg, "n"))
-    orbit = iterate_orbit(cfg.poly, x, m, cfg.bit_cap)
+    orbit = iterate_orbit(cfg.f, x, m, cfg.bit_cap)
     if orbit.truncated:
         rows = [{"type": "skip", "m": m, "n": n,
                  "reason": f"bit-cap at iterate {orbit.length + 1}"}]
-        return _provenance_report(cfg, "witness", rows, True)
+        return _provenance_report(cfg, "witness", rows)
     w = check_s_integer_ratio(orbit, m, n, cfg.S)
     rows = [w.row() if w else {"type": "no_witness", "kind": "s_integer_ratio", "m": m, "n": n}]
     if n >= 1:
@@ -234,16 +202,16 @@ def _cmd_witness(cfg: RunConfig, cache):
         rows.append(
             w2.row() if w2 else {"type": "no_witness", "kind": "power_relation", "m": m, "n": n}
         )
-    return _provenance_report(cfg, "witness", rows, False)
+    return _provenance_report(cfg, "witness", rows)
 
 
 def _cmd_search_dependence(cfg: RunConfig, cache):
-    return search_dependence(_search_config(cfg))
+    return search_dependence(cfg)
 
 
 def _cmd_sunit_scan(cfg: RunConfig, cache):
     n_max = int(cfg.run_options.get("n_max", cfg.m_max))
-    return search_sunit_orbit_values(_search_config(cfg), n_max)
+    return search_sunit_orbit_values(cfg, n_max)
 
 
 def _cmd_primitive_divisors(cfg: RunConfig, cache):
@@ -251,10 +219,9 @@ def _cmd_primitive_divisors(cfg: RunConfig, cache):
     m = int(_need(cfg, "m"))
     k = int(cfg.run_options.get("k", m))
     rows = []
-    partial = False
     try:
         res = find_primitive_divisor(
-            cfg.poly, x, m, k, cfg.factor_budget, cache, cfg.bit_cap
+            cfg.f, x, m, k, cfg.factor_budget, cache, cfg.bit_cap
         )
         rows.append(
             {
@@ -268,8 +235,7 @@ def _cmd_primitive_divisors(cfg: RunConfig, cache):
         )
     except IncompleteFactorization:
         rows.append({"type": "skip", "m": m, "reason": "factor-budget"})
-        partial = True
-    return _provenance_report(cfg, "primitive-divisors", rows, partial)
+    return _provenance_report(cfg, "primitive-divisors", rows)
 
 
 def _cmd_lambda_report(cfg: RunConfig, cache):
@@ -277,29 +243,24 @@ def _cmd_lambda_report(cfg: RunConfig, cache):
     n = int(cfg.run_options.get("n", 0))
     m_max = int(cfg.run_options.get("m", cfg.m_max))
     rows = lambda_growth_report(
-        cfg.poly, x, n, m_max, cfg.c_params.c4, cfg.factor_budget, cfg.bit_cap, cache
+        cfg.f, x, n, m_max, cfg.c_params.c4, cfg.factor_budget, cfg.bit_cap, cache
     )
-    partial = any(r.get("type") == "skip" for r in rows)
-    return _provenance_report(cfg, "lambda-report", rows, partial)
+    return _provenance_report(cfg, "lambda-report", rows)
 
 
 def _cmd_verify_spart(cfg: RunConfig, cache):
     rows = []
-    partial = False
     if "alpha" in cfg.run_options:
         x = _alpha(cfg)
         try:
-            wit = spart_witness(cfg.poly, x, cfg.S, cfg.factor_budget, cache)
+            wit = spart_witness(cfg.f, x, cfg.S, cfg.factor_budget, cache)
             rows.append(wit.row())
         except IncompleteFactorization:
             rows.append({"type": "skip", "alpha": cfg.run_options["alpha"], "reason": "factor-budget"})
-            partial = True
     n_samples = int(cfg.run_options.get("sample_count", 0))
     if n_samples > 0:
-        rep = verify_spart_empirical(_search_config(cfg), n_samples)
-        rows.extend(rep.rows)
-    rep = _provenance_report(cfg, "verify-spart", rows, partial)
-    return rep
+        rows.extend(verify_spart_empirical(cfg, n_samples).rows)
+    return _provenance_report(cfg, "verify-spart", rows)
 
 
 _HANDLERS = {
@@ -318,12 +279,21 @@ _HANDLERS = {
 def run_command(name: str, cfg: RunConfig, out_dir: str, cache=None) -> int:
     if name not in _HANDLERS:
         raise ConfigError(f"unknown command {name!r}")
-    if cfg.poly is None and name not in ("heights", "constants"):
+    if cfg.f is None and name not in ("heights", "constants"):
         raise ConfigError(f"{name} needs [poly]")
-    report = _HANDLERS[name](cfg, cache)
-    write_report(report, out_dir, name)
-    partial = report.partial or any(r.get("type") == "skip" for r in report.rows)
-    return 2 if partial else 0
+    # iterates up to the bit cap must print: raise Python's int <-> str digit
+    # limit (0: none) to the length of a 2*bit_cap-bit norm (0.30103 > log10 2),
+    # kept finite and within a C int, and restore it after
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old:
+        sys.set_int_max_str_digits(max(old, min(2 * cfg.bit_cap * 30103 // 100000 + 1, 2**31 - 1)))
+    try:
+        report = _HANDLERS[name](cfg, cache)
+        write_report(report, out_dir, name)
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+    return 2 if report.partial else 0
 
 
 def main(argv=None) -> int:
@@ -331,7 +301,7 @@ def main(argv=None) -> int:
         prog="orbitforge",
         description="heights, effective bound shapes and dependence search in polynomial orbits",
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=_HANDLERS)
     ap.add_argument("--config", required=True, help="INI run configuration")
     ap.add_argument("--out", default=None, help="output directory (default: config [output] dir or .)")
     args = ap.parse_args(argv)

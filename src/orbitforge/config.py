@@ -20,7 +20,7 @@ from .ideals import SSet, factor_rational_prime
 from .intfactor import DEFAULT_RHO_BUDGET
 from .orbits import DEFAULT_BIT_CAP
 from .polynomials import Polynomial
-from .search import DEFAULT_ELEMENT_CAP, DEFAULT_M_MAX
+from .search import DEFAULT_ELEMENT_CAP, DEFAULT_M_MAX, SearchConfig
 
 
 class ConfigError(ValueError):
@@ -33,50 +33,32 @@ _ALLOWED = {
     "sset": {"ideals"},
     "c_params": {"c1", "c2", "c3", "c4", "c5", "c6", "c7"},
     "caps": {"height_cap", "m_max", "bit_cap", "factor_budget", "element_cap"},
-    "run": {"alpha", "m", "n", "k", "n_max", "sample_count", "x_bound", "h_beta", "variant"},
+    "run": {"alpha", "m", "n", "k", "n_max", "sample_count", "h_beta"},
     "output": {"dir"},
 }
 
 
 @dataclass
-class RunConfig:
-    field: FieldSpec
-    poly: Polynomial | None
-    S: SSet
-    c_params: CParams
-    height_cap: float = 0.0
-    m_max: int = DEFAULT_M_MAX
-    bit_cap: int = DEFAULT_BIT_CAP
-    factor_budget: int = DEFAULT_RHO_BUDGET
-    element_cap: int = DEFAULT_ELEMENT_CAP
-    splitting_degree: int | None = None
-    class_number_L: int | None = None
-    regulator_L: float | None = None
+class RunConfig(SearchConfig):
+    """A SearchConfig plus the per-command [run] keys and the output directory."""
+
     run_options: dict = dc_field(default_factory=dict)
     output_dir: str | None = None
-
-    def splitting_override(self) -> SplittingData | None:
-        if self.splitting_degree is None:
-            return None
-        return SplittingData(
-            self.splitting_degree, self.class_number_L, self.regulator_L, "config"
-        )
 
     def to_ini(self) -> str:
         cp = configparser.ConfigParser()
         cp["field"] = {"kind": self.field.kind}
         if self.field.kind == "quadratic":
             cp["field"]["d"] = str(self.field.D)
-        if self.poly is not None:
-            cp["poly"] = {
-                "coeffs": ",".join(str(c.a) for c in self.poly.coeffs)
-            }
-            if self.splitting_degree is not None:
-                cp["poly"]["splitting_degree"] = str(self.splitting_degree)
-            if self.class_number_L is not None:
-                cp["poly"]["class_number_l"] = str(self.class_number_L)
-            if self.regulator_L is not None:
-                cp["poly"]["regulator_l"] = repr(self.regulator_L)
+        if self.f is not None:
+            cp["poly"] = {"coeffs": ",".join(str(c.a) for c in self.f.coeffs)}
+            sp = self.splitting
+            if sp is not None:
+                cp["poly"]["splitting_degree"] = str(sp.degree_D)
+                if sp.class_number_L is not None:
+                    cp["poly"]["class_number_l"] = str(sp.class_number_L)
+                if sp.regulator_L is not None:
+                    cp["poly"]["regulator_l"] = repr(sp.regulator_L)
         cp["sset"] = {"ideals": ",".join(self.S.ideal_selectors())}
         cp["c_params"] = {k: repr(v) for k, v in self.c_params.as_dict().items()}
         cp["caps"] = {
@@ -165,9 +147,17 @@ def load_config_text(text: str) -> RunConfig:
         poly = Polynomial(field, coeffs)
         if not poly.is_integral():
             raise ConfigError("poly.coeffs must be integral")
-    splitting_degree = int(ps["splitting_degree"]) if "splitting_degree" in ps else None
-    class_number_L = int(ps["class_number_l"]) if "class_number_l" in ps else None
-    regulator_L = float(ps["regulator_l"]) if "regulator_l" in ps else None
+    splitting = None
+    if "splitting_degree" in ps:
+        splitting = SplittingData(
+            int(ps["splitting_degree"]),
+            int(ps["class_number_l"]) if "class_number_l" in ps else None,
+            float(ps["regulator_l"]) if "regulator_l" in ps else None,
+            "config",
+        )
+    elif "class_number_l" in ps or "regulator_l" in ps:
+        given = sorted({"class_number_l", "regulator_l"} & set(ps))
+        raise ConfigError(f"poly.splitting_degree is required with {given}")
 
     ss = _parse_section(cp, "sset")
     S = parse_s_selectors(field, ss.get("ideals", ""))
@@ -195,14 +185,12 @@ def load_config_text(text: str) -> RunConfig:
 
     return RunConfig(
         field=field,
-        poly=poly,
+        f=poly,
         S=S,
         c_params=c_params,
         height_cap=height_cap,
         **int_caps,
-        splitting_degree=splitting_degree,
-        class_number_L=class_number_L,
-        regulator_L=regulator_L,
+        splitting=splitting,
         run_options=dict(run),
         output_dir=out.get("dir"),
     )

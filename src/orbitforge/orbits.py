@@ -317,6 +317,8 @@ def find_primitive_divisor(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     orbit = iterate_orbit(f, alpha, m, bit_cap)
     if orbit.truncated:
         raise ValueError(f"orbit truncated below m = {m} by the bit cap of {bit_cap} bits")

@@ -47,7 +47,7 @@ class SearchConfig:
     """Campaign inputs; shard_count is ignored (one sequential scan, sorted rows)."""
 
     field: FieldSpec
-    f: Polynomial
+    f: Polynomial | None
     S: SSet
     height_cap: float
     m_max: int = DEFAULT_M_MAX
@@ -63,7 +63,7 @@ class SearchConfig:
         stay out so that shard-invariance can be byte-exact."""
         return {
             "field": repr(self.field),
-            "poly": repr(self.f),
+            "poly": None if self.f is None else repr(self.f),
             "S": ",".join(self.S.ideal_selectors()),
             "height_cap": self.height_cap,
             "m_max": self.m_max,
@@ -79,8 +79,12 @@ class CampaignReport:
     kind: str
     provenance: dict
     rows: list[dict]
-    partial: bool
     version: str = __version__
+
+    @property
+    def partial(self) -> bool:
+        """True exactly when some row is an explicit skip."""
+        return bool(self.skip_rows())
 
     def to_jsonl(self) -> str:
         head = {
@@ -162,6 +166,10 @@ def _element_sort_key(x: NFElement):
 # ---------------------------------------------------------------------------
 
 
+_ELEMENT_CAP_SKIP = {"type": "skip", "alpha": None, "m": None, "n": None,
+                     "reason": "element-cap truncated the scan"}
+
+
 def search_dependence(cfg: SearchConfig) -> CampaignReport:
     """Scan all alpha up to the height cap and all iterate pairs for
     ratio and power witnesses, each verified by exact resubstitution."""
@@ -170,13 +178,8 @@ def search_dependence(cfg: SearchConfig) -> CampaignReport:
         raise ValueError(f"0-periodicity unknown within the bit cap of {cfg.bit_cap} bits")
     if zp:
         raise ValueError("campaign requires 0 not periodic for f")
-    rows: list[dict] = []
-    partial = False
     elements, cut = ring_elements_capped(cfg.field, cfg.height_cap, cfg.element_cap)
-    if cut:
-        rows.append({"type": "skip", "alpha": None, "m": None, "n": None,
-                     "reason": "element-cap truncated the scan"})
-        partial = True
+    rows = [dict(_ELEMENT_CAP_SKIP)] if cut else []
     # alpha = 0 is always enumerated (height 0) and shares this orbit
     zero_orbit = iterate_orbit(cfg.f, 0, cfg.m_max, cfg.bit_cap)
     c_norms = _transfer_norms(cfg.f, zero_orbit)
@@ -195,12 +198,9 @@ def search_dependence(cfg: SearchConfig) -> CampaignReport:
             )
             collected.append((key, entry))
     collected.sort(key=lambda kv: kv[0])
-    for _, entry in collected:
-        if entry["type"] == "skip":
-            partial = True
-        rows.append(entry)
+    rows.extend(entry for _, entry in collected)
     rows.extend(_bound_annotation(cfg))
-    return CampaignReport("search-dependence", cfg.provenance(), rows, partial)
+    return CampaignReport("search-dependence", cfg.provenance(), rows)
 
 
 def _transfer_norms(f: Polynomial, zero_orbit: OrbitRecord) -> tuple[int, ...]:
@@ -280,12 +280,8 @@ def _bound_annotation(cfg: SearchConfig) -> list[dict]:
 
 def search_sunit_orbit_values(cfg: SearchConfig, n_max: int) -> CampaignReport:
     """All (alpha, n <= n_max) with f^(n)(alpha) an S-unit, by exact orders."""
-    rows = []
     elements, cut = ring_elements_capped(cfg.field, cfg.height_cap, cfg.element_cap)
-    partial = cut
-    if cut:
-        rows.append({"type": "skip", "alpha": None, "m": None, "n": None,
-                     "reason": "element-cap truncated the scan"})
+    rows = [dict(_ELEMENT_CAP_SKIP)] if cut else []
     for alpha in elements:
         orbit = iterate_orbit(cfg.f, alpha, n_max, cfg.bit_cap)
         if orbit.truncated:
@@ -298,7 +294,6 @@ def search_sunit_orbit_values(cfg: SearchConfig, n_max: int) -> CampaignReport:
                     "reason": f"bit-cap at iterate {orbit.length + 1}",
                 }
             )
-            partial = True
         for n in range(1, orbit.length + 1):
             val = orbit.iterates[n]
             if val.is_zero():
@@ -312,7 +307,7 @@ def search_sunit_orbit_values(cfg: SearchConfig, n_max: int) -> CampaignReport:
                         "value": val.as_string(),
                     }
                 )
-    return CampaignReport("sunit-scan", cfg.provenance(), rows, partial)
+    return CampaignReport("sunit-scan", cfg.provenance(), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +323,11 @@ def verify_spart_empirical(cfg: SearchConfig, sample_count: int) -> CampaignRepo
     """
     if cfg.f.distinct_root_count() < 3:
         raise ValueError("empirical check needs >= 3 distinct roots")
+    elements, cut = ring_elements_capped(cfg.field, cfg.height_cap, cfg.element_cap)
     rows = []
     best = None
     count = 0
-    for alpha in ring_elements_capped(cfg.field, cfg.height_cap, cfg.element_cap)[0]:
+    for alpha in elements:
         if count >= sample_count:
             break
         val = cfg.f(alpha)
@@ -372,7 +368,9 @@ def verify_spart_empirical(cfg: SearchConfig, sample_count: int) -> CampaignRepo
             "empirical" if eta_emp > summary["eta1_formula"] else "formula"
         )
     rows.append(summary)
-    return CampaignReport("verify-spart", cfg.provenance(), rows, False)
+    if cut and count < sample_count:
+        rows.append(dict(_ELEMENT_CAP_SKIP))
+    return CampaignReport("verify-spart", cfg.provenance(), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +390,8 @@ def lambda_growth_report(
 ) -> list[dict]:
     """Per m > n: the largest support norm of f^(m)/f^(n) against the
     growth shape c4 * L log*L / log*log*L; factorization-failure rows skip."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     field = f.field
     if not isinstance(alpha, NFElement):
         alpha = field.element(alpha)

@@ -2,12 +2,14 @@ import csv
 import json
 import math
 import os
+import sys
 
 import pytest
 
 from orbitforge.cache import CacheError, FactorCache
 from orbitforge.cli import main, run_command, write_report
 from orbitforge.config import ConfigError, load_config, load_config_text, parse_s_selectors
+from orbitforge.constants import SplittingData
 from orbitforge.fields import make_field
 from orbitforge.search import CampaignReport
 
@@ -26,7 +28,7 @@ ideals = 2,3,5
 def test_load_minimal_config_defaults():
     cfg = load_config_text(MINIMAL)
     assert cfg.field.kind == "rational"
-    assert [int(c.a) for c in cfg.poly.coeffs] == [3, -1, 0, 1]
+    assert [int(c.a) for c in cfg.f.coeffs] == [3, -1, 0, 1]
     assert cfg.S.rational_primes() == [2, 3, 5]
     assert cfg.c_params.c1 == 1.0 and cfg.c_params.c7 == 1.0
     assert cfg.m_max == 8 and cfg.bit_cap == 10**6
@@ -38,13 +40,20 @@ def test_config_c_param_passthrough():
 
 
 def test_config_round_trip():
-    text = MINIMAL + "\n[c_params]\nc4 = 0.5\n\n[caps]\nheight_cap = 3.912023005428146\nm_max = 4\n"
-    cfg = load_config_text(text)
-    cfg2 = load_config_text(cfg.to_ini())
-    assert cfg2.to_ini() == cfg.to_ini()
-    assert cfg2.height_cap == cfg.height_cap
-    assert cfg2.c_params == cfg.c_params
-    assert cfg2.S.ideal_selectors() == cfg.S.ideal_selectors()
+    rest = "\n[c_params]\nc4 = 0.5\n\n[caps]\nheight_cap = 3.912023005428146\nm_max = 4\n"
+    with_splitting = MINIMAL.replace(
+        "coeffs = 3,-1,0,1\n",
+        "coeffs = 3,-1,0,1\nsplitting_degree = 6\nclass_number_l = 1\nregulator_l = 0.5\n",
+    )
+    for text in (MINIMAL + rest, with_splitting + rest):
+        cfg = load_config_text(text)
+        cfg2 = load_config_text(cfg.to_ini())
+        assert cfg2.to_ini() == cfg.to_ini()
+        assert cfg2.height_cap == cfg.height_cap
+        assert cfg2.c_params == cfg.c_params
+        assert cfg2.S.ideal_selectors() == cfg.S.ideal_selectors()
+        assert cfg2.splitting == cfg.splitting
+    assert cfg.splitting == SplittingData(6, 1, 0.5, "config")
 
 
 def test_config_rejections():
@@ -63,6 +72,12 @@ def test_config_rejections():
     for key, value in (("m_max", -1), ("bit_cap", -5), ("factor_budget", -1), ("element_cap", -1)):
         with pytest.raises(ConfigError, match=f"caps.{key}"):
             load_config_text(MINIMAL + f"\n[caps]\n{key} = {value}\n")
+    for key in ("class_number_l", "regulator_l"):
+        with pytest.raises(ConfigError, match=f"splitting_degree.*{key}"):
+            load_config_text(MINIMAL.replace("coeffs = 3,-1,0,1\n", f"coeffs = 3,-1,0,1\n{key} = 1\n"))
+    for key in ("x_bound", "variant"):
+        with pytest.raises(ConfigError, match=key):
+            load_config_text(MINIMAL + f"\n[run]\n{key} = 1\n")
 
 
 def test_s_selector_grammar():
@@ -196,7 +211,7 @@ def test_cli_repeated_roots_rejected_before_work(tmp_path):
 
 def test_csv_and_jsonl_numeric_twins(tmp_path):
     rep = CampaignReport(
-        "demo", {"k": 1}, [{"type": "row", "m": 3, "x": 0.1 + 0.2, "s": "t"}], False
+        "demo", {"k": 1}, [{"type": "row", "m": 3, "x": 0.1 + 0.2, "s": "t"}]
     )
     jpath, cpath = write_report(rep, str(tmp_path), "demo")
     jrow = [json.loads(l) for l in open(jpath)][1]
@@ -275,3 +290,116 @@ def test_cli_zero_periodicity_honours_bit_cap(tmp_path, capsys):
         assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "0-periodicity unknown" in err and "bit cap of 8" in err, command
+
+
+def _ini(coeffs, S, caps="", run=""):
+    return (
+        f"[field]\nkind = rational\n\n[poly]\ncoeffs = {coeffs}\n\n[sset]\nideals = {S}\n"
+        + (f"\n[caps]\n{caps}\n" if caps else "")
+        + (f"\n[run]\n{run}\n" if run else "")
+    )
+
+
+# two 40-bit primes: rho needs more steps than a factor budget of 10
+PQ = 1000000000039 * 2000000000003
+
+# (command, tag, config, exit code); every command once to completion and
+# once per cap that cuts it into skip rows
+CONTRACT = [
+    ("heights", "done", _ini("3,-1,0,1", "2,3,5", run="alpha = 12"), 0),
+    ("constants", "done", _ini("3,-1,0,1", "2,3,5"), 0),
+    ("orbit", "done", _ini("1,0,1", "", run="alpha = 1\nm = 3"), 0),
+    ("orbit", "bit-cap", _ini("1,0,1", "", "bit_cap = 64", "alpha = 1\nm = 10"), 2),
+    ("witness", "done", _ini("3,-1,0,1", "2,3,5", run="alpha = 2\nm = 3\nn = 1"), 0),
+    ("witness", "bit-cap", _ini("3,-1,0,1", "2,3,5", "bit_cap = 64", "alpha = 2\nm = 6\nn = 1"), 2),
+    ("search-dependence", "done", _ini("3,-1,0,1", "2,3,5", "height_cap = 2\nm_max = 3"), 0),
+    ("search-dependence", "element-cap",
+     _ini("3,-1,0,1", "2,3,5", "height_cap = 2\nm_max = 3\nelement_cap = 2"), 2),
+    ("search-dependence", "bit-cap",
+     _ini("3,-1,0,1", "2,3,5", "height_cap = 2\nm_max = 6\nbit_cap = 64"), 2),
+    ("sunit-scan", "done", _ini("1,0,1", "2,5", "height_cap = 2", "n_max = 3"), 0),
+    ("sunit-scan", "element-cap", _ini("1,0,1", "2,5", "height_cap = 2\nelement_cap = 2", "n_max = 3"), 2),
+    ("sunit-scan", "bit-cap", _ini("1,0,1", "2,5", "height_cap = 2\nbit_cap = 16", "n_max = 6"), 2),
+    ("primitive-divisors", "done", _ini("1,0,1", "", run="alpha = 1\nm = 3"), 0),
+    ("primitive-divisors", "factor-budget",
+     _ini(f"{-PQ},0,1", "", "factor_budget = 10", "alpha = 0\nm = 1"), 2),
+    ("lambda-report", "done", _ini("3,-1,0,1", "2,3,5", run="alpha = 2\nm = 3"), 0),
+    ("lambda-report", "factor-budget", _ini("3,-1,0,1", "2,3,5", "factor_budget = 1", "alpha = 2\nm = 4"), 2),
+    ("lambda-report", "bit-cap", _ini("3,-1,0,1", "2,3,5", "bit_cap = 64", "alpha = 2\nm = 6"), 2),
+    ("verify-spart", "done", _ini("0,2,-3,1", "2,3", "height_cap = 3", "alpha = 7\nsample_count = 3"), 0),
+    ("verify-spart", "factor-budget", _ini("0,2,-3,1", "2,3", "factor_budget = 10", f"alpha = {PQ}"), 2),
+    ("verify-spart", "element-cap",
+     _ini("0,2,-3,1", "2,3", "height_cap = 3\nelement_cap = 3", "sample_count = 10"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command,ini,want", [(c, i, w) for c, _, i, w in CONTRACT], ids=[f"{c}-{t}" for c, t, _, _ in CONTRACT]
+)
+def test_exit_2_iff_skip_row_iff_partial(command, ini, want, tmp_path, monkeypatch):
+    monkeypatch.delenv("ORBITFORGE_CACHE", raising=False)
+    out = str(tmp_path / "out")
+    code = main([command, "--config", _write_cfg(tmp_path, ini), "--out", out])
+    rows = _rows(out, command)
+    assert code == want
+    has_skip = any(r["type"] == "skip" for r in rows)
+    assert (code == 2) == has_skip == rows[0]["partial"]
+
+
+def test_cli_orbit_prints_iterates_past_the_default_int_str_limit(tmp_path):
+    # f^(15)(1) for x^2 + 1 has 19,258 bits (5,798 digits): past Python's
+    # default limit of 4,300 digits, far below the default bit cap
+    cfgp = _write_cfg(tmp_path, _ini("1,0,1", "", run="alpha = 1\nm = 15"))
+    out = str(tmp_path / "out")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main(["orbit", "--config", cfgp, "--out", out]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    x = 1
+    for _ in range(15):
+        x = x * x + 1
+    value = _rows(out, "orbit")[-1]["value"]
+    assert len(value) == 5798 and value.isdigit()
+    assert value[-30:] == "%030d" % (x % 10**30)
+
+
+def test_cli_alpha_longer_than_the_bit_cap_allows_is_refused(tmp_path, capsys):
+    # bit_cap = 10^4 lets str <-> int take 6,021 digits; alpha has 7,000
+    cfgp = _write_cfg(tmp_path, _ini("1,0,1", "", "bit_cap = 10000", f"alpha = {'1' * 7000}\nm = 1"))
+    assert main(["orbit", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,ini,message",
+    [
+        ("lambda-report", _ini("3,-1,0,1", "2,3,5", run="alpha = 2\nm = 3\nn = -1"), "n must be >= 0"),
+        ("primitive-divisors", _ini("1,0,1", "", run="alpha = 1\nm = 3\nk = -2"), "k must be >= 0"),
+    ],
+    ids=["lambda-report-n", "primitive-divisors-k"],
+)
+def test_cli_negative_index_is_refused(command, ini, message, tmp_path, capsys):
+    cfgp = _write_cfg(tmp_path, ini)
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_cli_verify_spart_element_cap_cut_is_a_skip(tmp_path):
+    cfgp = _write_cfg(
+        tmp_path, _ini("0,2,-3,1", "2,3", "height_cap = 3\nelement_cap = 3", "sample_count = 10")
+    )
+    out = str(tmp_path / "out")
+    assert main(["verify-spart", "--config", cfgp, "--out", out]) == 2
+    rows = _rows(out, "verify-spart")
+    assert [r["sample_count"] for r in rows if r["type"] == "empirical_eta"] == [1]
+    assert [r["reason"] for r in rows if r["type"] == "skip"] == ["element-cap truncated the scan"]
+
+
+def test_cli_class_number_needs_the_splitting_degree(tmp_path, capsys):
+    alone = MINIMAL.replace("coeffs = 3,-1,0,1\n", "coeffs = 3,-1,0,1\nclass_number_l = 1\n")
+    out = str(tmp_path / "o")
+    assert main(["constants", "--config", _write_cfg(tmp_path, alone), "--out", out]) == 1
+    assert "splitting_degree" in capsys.readouterr().err
+    both = alone.replace("class_number_l", "splitting_degree = 6\nclass_number_l")
+    assert main(["constants", "--config", _write_cfg(tmp_path, both), "--out", out]) == 0
+    bounds = [r for r in _rows(out, "constants") if r["type"] == "effective_bounds"]
+    assert bounds[0]["input_class_number_L"] == 1 and bounds[0]["eta2_inv"] > 1e84

@@ -517,7 +517,7 @@ def test_lambda_growth_report_example():
 
 
 def test_report_jsonl_shape():
-    rep = CampaignReport("demo", {"a": 1}, [{"type": "row", "x": 1.5}], False)
+    rep = CampaignReport("demo", {"a": 1}, [{"type": "row", "x": 1.5}])
     text = rep.to_jsonl()
     lines = text.strip().split("\n")
     assert len(lines) == 2
