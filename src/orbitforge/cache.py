@@ -1,10 +1,13 @@
 """Append-only factorization cache for rational integers.
 
 Plain text, one record per line: "n = p1^e1 * p2^e2 * ...", with a
-versioned header.  Every record is re-multiplied on load; duplicates and
-corrupt lines abort the load naming the offending line.  The file has a
-single-writer contract; records are content-determined, so last-writer-
-wins merges of private caches are safe.
+versioned header.  Structure, duplicates and products are checked on load:
+every record is re-multiplied, and a corrupt line or a repeated key aborts
+the load.  A record's factors are proved prime (Baillie-PSW) the first time
+a lookup reads it; a factor that fails raises on that lookup and on every
+later one.  Errors name the line and its length, never its text.  The file
+has a single-writer contract; records are content-determined, so last-
+writer-wins merges of private caches are safe.
 """
 
 from __future__ import annotations
@@ -47,30 +50,31 @@ def _format_record(n: int, fac: dict[int, int]) -> str:
     return f"{n} = " + " * ".join(parts)
 
 
+def _corrupt(lineno: int, length: int, why: str) -> CacheError:
+    return CacheError(f"corrupt cache line {lineno} ({length} characters): {why}")
+
+
 def _parse_record(line: str, lineno: int) -> tuple[int, dict[int, int]]:
+    """(n, factorization) of one record, re-multiplied; primality is not tested."""
     try:
         left, right = line.split("=", 1)
-        n = int(left.strip())
-        fac: dict[int, int] = {}
-        for chunk in right.strip().split("*"):
-            chunk = chunk.strip()
-            if "^" in chunk:
-                p_s, e_s = chunk.split("^", 1)
-                p, e = int(p_s), int(e_s)
-            else:
-                p, e = int(chunk), 1
-            if p in fac:
-                raise ValueError("repeated prime")
-            fac[p] = e
-    except ValueError as exc:
-        raise CacheError(f"corrupt cache line {lineno}: {line!r} ({exc})") from exc
+        n = int(left)
+        pairs = []
+        for chunk in right.split("*"):
+            p_s, hat, e_s = chunk.partition("^")
+            pairs.append((int(p_s), int(e_s) if hat else 1))
+    except ValueError:
+        raise _corrupt(lineno, len(line), "expected 'n = p1^e1 * p2^e2 * ...'") from None
+    fac = dict(pairs)
+    if len(fac) < len(pairs):
+        raise _corrupt(lineno, len(line), "repeated prime")
     prod = 1
     for p, e in fac.items():
-        if e < 1 or not is_prime(p):
-            raise CacheError(f"corrupt cache line {lineno}: bad factor in {line!r}")
+        if p < 2 or e < 1:
+            raise _corrupt(lineno, len(line), "factor below 2 or exponent below 1")
         prod *= p**e
     if prod != n:
-        raise CacheError(f"corrupt cache line {lineno}: product mismatch for n={n}")
+        raise _corrupt(lineno, len(line), "product mismatch")
     return n, fac
 
 
@@ -80,6 +84,9 @@ class FactorCache:
     def __init__(self, path: str | None = None):
         self.path = path
         self._map: dict[int, dict[int, int]] = {}
+        # loaded records whose factors no lookup has proved prime yet:
+        # n -> (line number, line length)
+        self._unproved: dict[int, tuple[int, int]] = {}
         if path and os.path.exists(path):
             self._load(path)
         elif path:
@@ -99,17 +106,24 @@ class FactorCache:
                     continue
                 n, fac = _parse_record(line, i)
                 if n in self._map:
-                    raise CacheError(f"duplicate cache key {n} at line {i}")
+                    raise _corrupt(i, len(line), "duplicate key")
                 self._map[n] = fac
+                self._unproved[n] = (i, len(line))
 
     def lookup_or_factor(self, n: int, budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
-        """Stored factorization of n >= 2, computing and appending on a miss."""
+        """Stored factorization of n >= 2 (a loaded record's primes are proved
+        on its first hit), computing and appending on a miss."""
         if n < 2:
             if n in (0, 1):
                 return {}
             raise ValueError("cache keys are integers >= 2")
         hit = self._map.get(n)
         if hit is not None:
+            where = self._unproved.get(n)
+            if where is not None:
+                if not all(is_prime(p) for p in hit):
+                    raise _corrupt(*where, "a factor is not prime")
+                del self._unproved[n]
             return dict(hit)
         fac = factorize(n, budget)
         self._map[n] = fac

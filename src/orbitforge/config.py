@@ -36,6 +36,7 @@ _ALLOWED = {
     "run": {"alpha", "m", "n", "k", "n_max", "sample_count", "h_beta"},
     "output": {"dir"},
 }
+_RUN_INTS = {"m", "n", "k", "n_max", "sample_count"}
 
 
 @dataclass
@@ -115,6 +116,16 @@ def _parse_section(cp: configparser.ConfigParser, name: str) -> dict:
     return got
 
 
+def _nonnegative_int(section: str, key: str, text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError(f"{section}.{key} must be an integer") from None
+    if value < 0:
+        raise ConfigError(f"{section}.{key} must be >= 0")
+    return value
+
+
 def load_config_text(text: str) -> RunConfig:
     cp = configparser.ConfigParser()
     try:
@@ -176,11 +187,11 @@ def load_config_text(text: str) -> RunConfig:
         ("factor_budget", DEFAULT_RHO_BUDGET),
         ("element_cap", DEFAULT_ELEMENT_CAP),
     ):
-        int_caps[key] = int(caps.get(key, default))
-        if int_caps[key] < 0:
-            raise ConfigError(f"caps.{key} must be a nonnegative integer")
+        int_caps[key] = _nonnegative_int("caps", key, caps.get(key, default))
 
     run = _parse_section(cp, "run")
+    for key in sorted(_RUN_INTS & set(run)):
+        _nonnegative_int("run", key, run[key])
     out = _parse_section(cp, "output")
 
     return RunConfig(

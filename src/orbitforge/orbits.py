@@ -164,8 +164,7 @@ def is_s_integer(x: NFElement, S: SSet) -> bool:
     if x.is_zero():
         return True
     _, m = x.integral_parts()
-    rest, _ = strip_primes(m, S.rational_primes())
-    if rest > 1:
+    if m > 1 and strip_primes(m, S.rational_primes())[0] > 1:
         return False
     for p in sorted({P.p for P in S.fullness()[1]}):
         for P in factor_rational_prime(x.field, p):

@@ -3,14 +3,17 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orbitforge.cache import CacheError, FactorCache
+from orbitforge.cache import CacheError, FactorCache, int_str_limit
 from orbitforge.cli import main, run_command, write_report
 from orbitforge.config import ConfigError, load_config, load_config_text, parse_s_selectors
 from orbitforge.constants import SplittingData
 from orbitforge.fields import make_field
+from orbitforge.intfactor import factorize, is_prime
 from orbitforge.search import CampaignReport
 
 MINIMAL = """
@@ -78,6 +81,11 @@ def test_config_rejections():
     for key in ("x_bound", "variant"):
         with pytest.raises(ConfigError, match=key):
             load_config_text(MINIMAL + f"\n[run]\n{key} = 1\n")
+    for key, value in (("sample_count", -3), ("n_max", -1)):
+        with pytest.raises(ConfigError, match=f"run.{key} must be >= 0"):
+            load_config_text(MINIMAL + f"\n[run]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match="run.m must be an integer"):
+        load_config_text(MINIMAL + "\n[run]\nm = three\n")
 
 
 def test_s_selector_grammar():
@@ -129,9 +137,11 @@ def test_cache_false_prime_detected(tmp_path):
     path = str(tmp_path / "cache.txt")
     with open(path, "w") as fh:
         fh.write(f"# orbitforge-factor-cache v1\n{psi12} = {psi12}\n")
-    with pytest.raises(CacheError) as ei:
-        FactorCache(path)
-    assert "line 2" in str(ei.value)
+    cache = FactorCache(path)
+    for _ in range(2):  # a record that fails its proof is never returned
+        with pytest.raises(CacheError) as ei:
+            cache.lookup_or_factor(psi12)
+        assert "line 2" in str(ei.value)
 
 
 def test_cache_duplicate_detected(tmp_path):
@@ -148,6 +158,74 @@ def test_cache_header_required(tmp_path):
         fh.write("6 = 2 * 3\n")
     with pytest.raises(CacheError):
         FactorCache(path)
+
+
+def test_cache_error_names_the_line_and_its_length_not_the_record(tmp_path):
+    # 2^16384 has 4,933 digits: an error must not print the record
+    path = str(tmp_path / "cache.txt")
+    with int_str_limit(0):
+        n = str(2**16384)
+        n_plus_1 = str(2**16384 + 1)
+    loads = {
+        "syntax": f"{n[:2000]}x{n[2001:]} = 2^16384",
+        "product": f"{n_plus_1} = 2^16384",
+        "factor": f"{n} = 2^16384 * 1^7",
+        "repeated": f"{n} = 2^16383 * 2",
+        "duplicate": f"{n} = 2^16384\n{n} = 2^16384",
+    }
+    for why, records in loads.items():
+        with open(path, "w") as fh:
+            fh.write(f"# orbitforge-factor-cache v1\n{records}\n")
+        with pytest.raises(CacheError) as ei:
+            FactorCache(path)
+        message = str(ei.value)
+        assert len(message) < 200, why
+        assert ("line 3" if why == "duplicate" else "line 2") in message, why
+    with open(path, "w") as fh:
+        fh.write(f"# orbitforge-factor-cache v1\n{n} = 4^8192\n")
+    with pytest.raises(CacheError) as ei:
+        FactorCache(path).lookup_or_factor(2**16384)
+    assert len(str(ei.value)) < 200 and "line 2" in str(ei.value)
+
+
+def test_cache_proves_a_record_on_its_first_hit_only(tmp_path, monkeypatch):
+    path = str(tmp_path / "cache.txt")
+    values = [720, 210066388901, 2**61 - 1, 6 * (2**31 - 1), 1000003 * 1000033]
+    writer = FactorCache(path)
+    facs = {n: writer.lookup_or_factor(n) for n in values}
+    proved = []
+
+    def counting_is_prime(p):
+        proved.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr("orbitforge.cache.is_prime", counting_is_prime)
+    reader = FactorCache(path)
+    assert len(reader) == len(values) and proved == []
+    for n in values:
+        assert reader.lookup_or_factor(n) == facs[n]
+        assert sorted(proved) == sorted(facs[n])
+        proved.clear()
+        assert reader.lookup_or_factor(n) == facs[n]
+        assert proved == []
+    # records factorize adds in this run are proved by factorize itself
+    assert reader.lookup_or_factor(2**89 - 1) == factorize(2**89 - 1)
+    assert reader.lookup_or_factor(2**89 - 1) == factorize(2**89 - 1)
+    assert proved == []
+
+
+@given(st.lists(st.integers(2, 10**15), max_size=12))
+@settings(max_examples=40)
+def test_cache_reloaded_from_its_file_returns_factorize(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.txt")
+        writer = FactorCache(path)
+        for n in values:
+            writer.lookup_or_factor(n)
+        reader = FactorCache(path)
+        assert len(reader) == len(set(values))
+        for n in values:
+            assert reader.lookup_or_factor(n) == factorize(n)
 
 
 def _write_cfg(tmp_path, text):
@@ -371,6 +449,26 @@ def test_cli_cache_records_past_the_default_int_str_limit_reload(tmp_path, monke
     for i in range(2):
         assert main(["primitive-divisors", "--config", cfgp, "--out", str(tmp_path / f"o{i}")]) == 0
     assert FactorCache(cache_path).lookup_or_factor(2**16384) == {2: 16384}
+
+
+def test_cli_cache_record_is_proved_when_a_command_reads_it(tmp_path, monkeypatch, capsys):
+    # "26 = 26" passes every load check; only its primality proof fails
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# orbitforge-factor-cache v1\n26 = 26\n")
+    reads_26 = _write_cfg(tmp_path, _ini("1,0,1", "", run="alpha = 1\nm = 3"))  # 1, 2, 5, 26
+    monkeypatch.setenv("ORBITFORGE_CACHE", str(bad))
+    assert main(["primitive-divisors", "--config", reads_26, "--out", str(tmp_path / "o")]) == 1
+    assert "line 2" in capsys.readouterr().err
+    misses_26 = str(tmp_path / "misses_26.ini")
+    with open(misses_26, "w") as fh:
+        fh.write(_ini("1,0,1", "", run="alpha = 1\nm = 2"))
+    outs = {}
+    for name, cache in (("bad", bad), ("clean", tmp_path / "clean.txt")):
+        monkeypatch.setenv("ORBITFORGE_CACHE", str(cache))
+        out = tmp_path / f"out-{name}"
+        assert main(["primitive-divisors", "--config", misses_26, "--out", str(out)]) == 0
+        outs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outs["bad"] == outs["clean"] and outs["bad"]
 
 
 def test_cli_alpha_longer_than_the_bit_cap_allows_is_refused(tmp_path, capsys):
