@@ -26,7 +26,7 @@ from .constants import (
     voutier_delta,
 )
 from .fields import FieldError
-from .heights import height, height_T, height_S_of_inverse, support_lambda
+from .heights import height, height_T, height_S_of_inverse, height_value, support_lambda
 from .intfactor import IncompleteFactorization
 from .orbits import (
     check_power_dependence,
@@ -170,15 +170,13 @@ def _cmd_orbit(cfg: RunConfig, cache):
     m = int(cfg.run_options.get("m", cfg.m_max))
     orb = iterate_orbit(cfg.f, x, m, cfg.bit_cap)
     rows = []
-    from .heights import height_value
-
     for k, it in enumerate(orb.iterates):
         rows.append(
             {
                 "type": "orbit_row",
                 "k": k,
                 "value": it.as_string(),
-                "h": height_value(it),
+                "h": height_value(it, cfg.factor_budget, cache),
             }
         )
     if orb.truncated:
@@ -252,11 +250,7 @@ def _cmd_verify_spart(cfg: RunConfig, cache):
     rows = []
     if "alpha" in cfg.run_options:
         x = _alpha(cfg)
-        try:
-            wit = spart_witness(cfg.f, x, cfg.S, cfg.factor_budget, cache)
-            rows.append(wit.row())
-        except IncompleteFactorization:
-            rows.append({"type": "skip", "alpha": cfg.run_options["alpha"], "reason": "factor-budget"})
+        rows.append(spart_witness(cfg.f, x, cfg.S).row())
     n_samples = int(cfg.run_options.get("sample_count", 0))
     if n_samples > 0:
         rows.extend(verify_spart_empirical(cfg, n_samples).rows)

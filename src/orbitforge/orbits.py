@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 from .constants import A3
 from .fields import FieldSpec, NFElement
 from .ideals import (
-    IdealFactorization,
     PrimeIdealRec,
     SSet,
     factor_element_ideal,
@@ -30,7 +29,7 @@ from .intfactor import (
 from .heights import (
     approximate_by_unit,
     height_S_of_inverse,
-    height_outside_S_of_inverse,
+    height_T,
     height_value,
     one_step_bound,
 )
@@ -47,20 +46,11 @@ class OrbitRecord:
     alpha: NFElement
     iterates: list[NFElement]
     truncated: bool
-    _factorizations: dict[int, IdealFactorization] = dc_field(default_factory=dict)
     _norms_outside_S: dict[tuple, int] = dc_field(default_factory=dict)
 
     @property
     def length(self) -> int:
         return len(self.iterates) - 1
-
-    def factorization(self, k: int, budget: int = DEFAULT_RHO_BUDGET, cache=None):
-        """Ideal factorization of the k-th iterate, computed on demand."""
-        if k not in self._factorizations:
-            self._factorizations[k] = factor_element_ideal(
-                self.iterates[k], budget, cache
-            )
-        return self._factorizations[k]
 
     def norm_outside_S(self, k: int, S: SSet) -> int:
         """_norm_outside_S of the k-th iterate, computed once per S."""
@@ -310,9 +300,13 @@ def find_primitive_divisor(
 ) -> ZsigmondyResult:
     """Smallest-norm prime of f^(m)(alpha) absent from the k earlier iterates.
 
-    Raises IncompleteFactorization when any of the needed values exceeds
-    the factor budget; the caller decides whether that is a skip.  Raises
-    ValueError when an iterate up to m passes bit_cap.
+    Only f^(m)(alpha) is factored.  A prime P of it is primitive when
+    ord_P(x_j) <= 0 for every iterate x_j of the window (a non-integral
+    alpha has iterates of negative order), an exact test that factors
+    nothing more.  Raises IncompleteFactorization when f^(m)(alpha) exceeds
+    the factor budget, even when the window holds a zero; the caller
+    decides whether that is a skip.  Raises ValueError when an iterate up
+    to m passes bit_cap.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -324,23 +318,13 @@ def find_primitive_divisor(
     xm = orbit.iterates[m]
     if xm.is_zero() or (xm.is_integral() and abs(xm.norm()) == 1):
         raise ValueError("f^(m)(alpha) is a unit or zero: no divisor to find")
-    lo = max(0, m - k)
-    window = list(range(lo, m))
-    fac_m = orbit.factorization(m, budget, cache)
-    window_primes: set[tuple] = set()
-    zero_in_window = False
-    for j in window:
-        xj = orbit.iterates[j]
-        if xj.is_zero():
-            zero_in_window = True
-            continue
-        window_primes.update(
-            P.key() for P in orbit.factorization(j, budget, cache).positive_part()
-        )
+    window = list(range(max(0, m - k), m))
+    fac_m = factor_element_ideal(xm, budget, cache)
+    earlier = [orbit.iterates[j] for j in window]
     primitive = None
-    if not zero_in_window:
+    if not any(x.is_zero() for x in earlier):
         for P in sorted(fac_m.positive_part(), key=lambda P: (P.norm, P.p, P.kind)):
-            if P.key() not in window_primes:
+            if all(ord_ideal(x, P) <= 0 for x in earlier):
                 primitive = P
                 break
     return ZsigmondyResult(m, k, primitive, window)
@@ -521,8 +505,7 @@ class SPartWitness:
 
 
 def spart_witness_from_value(
-    field: FieldSpec, b: NFElement, deg_f: int, S: SSet,
-    budget: int = DEFAULT_RHO_BUDGET, cache=None,
+    field: FieldSpec, b: NFElement, deg_f: int, S: SSet
 ) -> SPartWitness:
     """Constructive witness for the S-part height gap of the value b.
 
@@ -531,6 +514,13 @@ def spart_witness_from_value(
     ideal-power blocks, balances the cofactor by a unit, and records the
     two height inequalities of the construction with their slack.  Both
     slacks are required to be nonnegative.
+
+    Nothing is factored, so no factor budget applies and
+    IncompleteFactorization cannot arise.  The orders come from exact
+    ord_ideal tests at the ideals of S.  For integral b the product formula
+    gives h_{M \\ S}(1/b) = log N_out(b) / d from the norm
+    (_norm_outside_S).  eps / qdenom has negative orders only at ideals of
+    S, so its height is its T-height over the places of S.
     """
     if b.is_zero():
         raise ZeroDivisionError("witness needs a nonzero value")
@@ -567,11 +557,11 @@ def spart_witness_from_value(
     log_q = math.log(q_norm) if q_norm > 1 else 0.0
 
     h_s_binv = height_S_of_inverse(b, S)
-    lhs_lower = height_value(eps / qdenom)
+    lhs_lower = height_T(eps / qdenom, S.places())
     rhs_lower = h_s_binv / deg_f - h * log_q - a3_term
     slack_lower = lhs_lower - rhs_lower
 
-    h_out_binv = height_outside_S_of_inverse(b, S, budget, cache)
+    h_out_binv = math.log(_norm_outside_S(b, S)) / d
     lhs_upper = height_value(eps**deg_f * c)
     rhs_upper = h_out_binv + deg_f * h / d * log_q + deg_f * a3_term
     slack_upper = rhs_upper - lhs_upper
@@ -585,10 +575,7 @@ def spart_witness_from_value(
     )
 
 
-def spart_witness(
-    f: Polynomial, alpha, S: SSet,
-    budget: int = DEFAULT_RHO_BUDGET, cache=None,
-) -> SPartWitness:
+def spart_witness(f: Polynomial, alpha, S: SSet) -> SPartWitness:
     """The witness built at b = f(alpha); f must split over the base field."""
     field = f.field
     if not isinstance(alpha, NFElement):
@@ -600,4 +587,4 @@ def spart_witness(
     b = f(alpha)
     if b.is_zero():
         raise ZeroDivisionError("f(alpha) = 0")
-    return spart_witness_from_value(field, b, f.degree, S, budget, cache)
+    return spart_witness_from_value(field, b, f.degree, S)

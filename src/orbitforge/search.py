@@ -400,7 +400,7 @@ def lambda_growth_report(
     xn = orbit.iterates[n] if n <= orbit.length else None
     if xn is None or xn.is_zero():
         raise ZeroDivisionError("f^(n)(alpha) unavailable or zero")
-    h_n = height_value(xn)
+    h_n = height_value(xn, budget, cache)
     for m in range(n + 1, orbit.length + 1):
         xm = orbit.iterates[m]
         if xm.is_zero():
@@ -408,10 +408,10 @@ def lambda_growth_report(
             continue
         try:
             lam = support_lambda(xm / xn, budget, cache).lam
+            h_m = height_value(xm, budget, cache)
         except IncompleteFactorization:
             rows.append({"type": "skip", "m": m, "reason": "factor-budget"})
             continue
-        h_m = height_value(xm)
         L = log_star(h_m / (h_n + 1.0))
         shape = lambda_bound_shape(L, c4)
         rows.append(

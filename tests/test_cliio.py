@@ -13,7 +13,7 @@ from orbitforge.cli import main, run_command, write_report
 from orbitforge.config import ConfigError, load_config, load_config_text, parse_s_selectors
 from orbitforge.constants import SplittingData
 from orbitforge.fields import make_field
-from orbitforge.intfactor import factorize, is_prime
+from orbitforge.intfactor import DEFAULT_RHO_BUDGET, factorize, is_prime
 from orbitforge.search import CampaignReport
 
 MINIMAL = """
@@ -405,7 +405,6 @@ CONTRACT = [
     ("lambda-report", "factor-budget", _ini("3,-1,0,1", "2,3,5", "factor_budget = 1", "alpha = 2\nm = 4"), 2),
     ("lambda-report", "bit-cap", _ini("3,-1,0,1", "2,3,5", "bit_cap = 64", "alpha = 2\nm = 6"), 2),
     ("verify-spart", "done", _ini("0,2,-3,1", "2,3", "height_cap = 3", "alpha = 7\nsample_count = 3"), 0),
-    ("verify-spart", "factor-budget", _ini("0,2,-3,1", "2,3", "factor_budget = 10", f"alpha = {PQ}"), 2),
     ("verify-spart", "element-cap",
      _ini("0,2,-3,1", "2,3", "height_cap = 3\nelement_cap = 3", "sample_count = 10"), 2),
 ]
@@ -422,6 +421,42 @@ def test_exit_2_iff_skip_row_iff_partial(command, ini, want, tmp_path, monkeypat
     assert code == want
     has_skip = any(r["type"] == "skip" for r in rows)
     assert (code == 2) == has_skip == rows[0]["partial"]
+
+
+def _spy_factorize(monkeypatch):
+    """Record (n, budget) of every factorize call made through any module."""
+    calls = []
+
+    def spy(n, budget=DEFAULT_RHO_BUDGET):
+        calls.append((n, budget))
+        return factorize(n, budget)
+
+    for module in ("cache", "fields", "heights", "ideals", "polynomials"):
+        monkeypatch.setattr(f"orbitforge.{module}.factorize", spy)
+    return calls
+
+
+def test_cli_verify_spart_witness_factors_nothing(tmp_path, monkeypatch):
+    # the config that once cut the witness with a factor-budget skip row
+    monkeypatch.delenv("ORBITFORGE_CACHE", raising=False)
+    calls = _spy_factorize(monkeypatch)
+    cfgp = _write_cfg(tmp_path, _ini("0,2,-3,1", "2,3", "factor_budget = 10", f"alpha = {PQ}"))
+    out = str(tmp_path / "out")
+    assert main(["verify-spart", "--config", cfgp, "--out", out]) == 0
+    assert [r["type"] for r in _rows(out, "verify-spart")] == ["provenance", "spart_witness"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["orbit", "lambda-report"])
+def test_cli_heights_of_iterates_honour_the_factor_budget(command, tmp_path, monkeypatch):
+    # x^2 + 1 at 1/6: every iterate has a denominator, so its height factors
+    monkeypatch.delenv("ORBITFORGE_CACHE", raising=False)
+    calls = _spy_factorize(monkeypatch)
+    cfgp = _write_cfg(
+        tmp_path, _ini("1,0,1", "2", "factor_budget = 12345", "alpha = 1/6\nn = 1\nm = 3")
+    )
+    assert main([command, "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    assert {n for n, _ in calls} >= {6**2, 6**4} and {b for _, b in calls} == {12345}
 
 
 def test_cli_orbit_prints_iterates_past_the_default_int_str_limit(tmp_path):

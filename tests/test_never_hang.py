@@ -7,8 +7,9 @@ stuck in, as faulthandler prints it.  The alarm acts on this process only.
 
 The catalogue holds configs that once ran without bound: rational-root
 searches on large coefficients, a splitting-field discriminant that cannot
-be factored within the configured budget, and principal-generator boxes
-too large to scan.
+be factored within the configured budget, principal-generator boxes too
+large to scan, and S-part witnesses at 200-bit values that were factored
+completely.
 """
 
 import faulthandler
@@ -35,6 +36,7 @@ def _ini(field, coeffs, S, caps="", run=""):
 
 
 BIG_C = 10**20 + 39
+BIG_A = 2**200 + 7
 CATALOGUE = [
     ("constants", _ini("kind = rational", f"{BIG_C},-1,0,1", "2,3,5"), "x3-x+(10^20+39)"),
     ("search-dependence", _ini("kind = rational", f"{BIG_C},-1,0,1", "2,3,5"), "x3-x+(10^20+39)"),
@@ -53,6 +55,16 @@ CATALOGUE = [
         "verify-spart",
         _ini("kind = quadratic\nd = -9991", "0,2,-3,1", "5", run="alpha = 7"),
         "Q(sqrt-9991)-h32",
+    ),
+    (
+        "verify-spart",
+        _ini("kind = quadratic\nd = 2", "0,2,-3,1", "2,3,5", run=f"alpha = {BIG_A},1"),
+        "Q(sqrt2)-alpha-(2^200+7)+w",
+    ),
+    (
+        "verify-spart",
+        _ini("kind = rational", "0,2,-3,1", "2,3,5", run=f"alpha = {BIG_A}"),
+        "Q-alpha-2^200+7",
     ),
 ]
 

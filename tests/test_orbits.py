@@ -1,24 +1,34 @@
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbitforge.constants import A3
 from orbitforge.fields import make_field
 from orbitforge.heights import (
     canonical_height,
     height_S_of_inverse,
+    height_T,
     height_outside_S_of_inverse,
     height_value,
 )
-from orbitforge.ideals import PrimeIdealRec, SSet, factor_rational_prime, ord_ideal
+from orbitforge.ideals import (
+    PrimeIdealRec,
+    SSet,
+    factor_element_ideal,
+    factor_rational_prime,
+    ord_ideal,
+)
 from orbitforge.orbits import (
     CYCLE_STEP_CAP,
     GeneratorSearchError,
     OrbitRecord,
+    ZsigmondyResult,
+    _norm_outside_S,
     build_Sk,
     check_power_dependence,
     check_s_integer_ratio,
@@ -501,6 +511,90 @@ def test_find_primitive_divisor_matches_sympy_oracle():
             assert res.primitive_prime is None
 
 
+def _primitive_divisor_by_window_factoring(f, alpha, m, k):
+    """The earlier find_primitive_divisor: it factors every iterate of the
+    window and takes the smallest-norm prime of f^(m)(alpha) that has
+    positive order at none of them."""
+    orbit = iterate_orbit(f, alpha, m)
+    xm = orbit.iterates[m]
+    if xm.is_zero() or (xm.is_integral() and abs(xm.norm()) == 1):
+        raise ValueError("f^(m)(alpha) is a unit or zero: no divisor to find")
+    window = list(range(max(0, m - k), m))
+    fac_m = factor_element_ideal(xm)
+    window_primes, zero_in_window = set(), False
+    for j in window:
+        xj = orbit.iterates[j]
+        if xj.is_zero():
+            zero_in_window = True
+            continue
+        window_primes.update(P.key() for P in factor_element_ideal(xj).positive_part())
+    primitive = None
+    if not zero_in_window:
+        for P in sorted(fac_m.positive_part(), key=lambda P: (P.norm, P.p, P.kind)):
+            if P.key() not in window_primes:
+                primitive = P
+                break
+    return ZsigmondyResult(m, k, primitive, window)
+
+
+@st.composite
+def _primitive_divisor_case(draw):
+    F = draw(st.sampled_from([Q, F2, Fm1, Fm5]))
+
+    def element():
+        return F.element(draw(_SMALL), draw(_SMALL) if F.degree == 2 else 0)
+
+    n = draw(st.integers(2, 3))
+    coeffs = [element() for _ in range(n + 1)]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = F.one()
+    alpha = element()
+    shape = draw(st.sampled_from(["integral", "root", "non-integral"]))
+    if shape == "root":  # f(alpha) = 0 puts a zero in the window
+        coeffs[0] = coeffs[0] - Polynomial(F, coeffs)(alpha)
+    elif shape == "non-integral":  # iterates with negative orders
+        alpha = alpha + F.element(Fraction(1, draw(st.sampled_from([2, 3, 6]))))
+    m = draw(st.integers(1, 3 if n == 2 else 2))
+    k = draw(st.integers(0, m + 2))
+    return Polynomial(F, coeffs), alpha, m, k
+
+
+def _result_key(res):
+    P = res.primitive_prime
+    return res.m, res.window_k, None if P is None else P.key(), res.excluded_indices
+
+
+@settings(max_examples=200)
+@given(_primitive_divisor_case())
+# 4x^2 + 1 at 1/2: x_1 = 2, and 2 has order -1 at x_0, not 0
+@example((Polynomial(Q, [1, 0, 4]), Q.element(Fraction(1, 2)), 1, 1))
+def test_find_primitive_divisor_matches_window_factoring(case):
+    f, alpha, m, k = case
+    want = _outcome(lambda: _result_key(_primitive_divisor_by_window_factoring(f, alpha, m, k)))
+    assert _outcome(lambda: _result_key(find_primitive_divisor(f, alpha, m, k))) == want
+
+
+def _count_calls(monkeypatch, target):
+    """Wrap the function at the dotted path target; returns its argument list."""
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, spy)
+    return calls
+
+
+def test_find_primitive_divisor_factors_only_f_m(monkeypatch):
+    calls = _count_calls(monkeypatch, "orbitforge.orbits.factor_element_ideal")
+    res = find_primitive_divisor(F_SQ1, 1, 10, 10)
+    assert calls == [iterate_orbit(F_SQ1, 1, 10).iterates[10]]
+    assert res.primitive_prime is not None and res.excluded_indices == list(range(10))
+
+
 def test_build_Sk_examples():
     sk2 = build_Sk(F_SQ1, 2)
     assert sk2.rational_primes() == [2]
@@ -657,3 +751,58 @@ def test_spart_witness_random_instances_all_fields():
             for P, e, q, r in zip(wit.s_ideals, wit.exponents, wit.quotients, wit.remainders):
                 assert e == block * q + r
                 assert ord_ideal(wit.c, P) == r
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_log_norm_outside_S_matches_factored_height(data):
+    F = data.draw(st.sampled_from([Q, F2, Fm1, F5, Fm5]))
+    coord = st.integers(-10**12, 10**12)
+    b = F.element(data.draw(coord), data.draw(coord) if F.degree == 2 else 0)
+    for p in data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=6)):
+        b = b * F.element(p)
+    if b.is_zero():
+        return
+    ideals = []  # some primes of S keep one ideal only
+    for p in data.draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]), max_size=4, unique=True)):
+        above = factor_rational_prime(F, p)
+        ideals.extend(above[:1] if data.draw(st.booleans()) else above)
+    S = SSet(F, ideals)
+    assert math.log(_norm_outside_S(b, S)) / F.degree == pytest.approx(
+        height_outside_S_of_inverse(b, S), rel=1e-12
+    )
+
+
+def test_spart_witness_factors_nothing(monkeypatch):
+    rng = random.Random(4242)
+    p, q = 1000000000039, 2000000000003  # 1/(p*q) needs rho to factor
+    cases = [(Q, S_of(Q, p, q), Q.element((p * q) ** 3 + 1))]  # alpha - 1 = (p*q)^3
+    for field in (Q, F2, Fm5):
+        for _ in range(30):
+            a = rng.randrange(-40, 41)
+            alpha = field.element(a, rng.randrange(-9, 10) if field.degree == 2 else 0)
+            cases.append((field, S_of(field, *rng.sample([2, 3, 5, 7], 2)), alpha))
+    calls = [
+        _count_calls(monkeypatch, target)
+        for target in ("orbitforge.orbits.factor_element_ideal",
+                       "orbitforge.heights.factor_element_ideal",
+                       "orbitforge.heights.factorize")
+    ]
+    witnesses = []
+    for field, S, alpha in cases:
+        f = Polynomial(field, [-6, 11, -6, 1])
+        if not f(alpha).is_zero():
+            witnesses.append((S, spart_witness(f, alpha, S)))
+    assert calls == [[], [], []]
+    monkeypatch.undo()
+    assert witnesses[0][1].quotients == [1, 1]
+    # eps / qdenom has negative orders only at S: its T-height is its height
+    lowered = 0
+    for S, wit in witnesses[1:]:
+        qdenom = wit.b.field.one()
+        for g, k in zip(wit.generators, wit.quotients):
+            qdenom = qdenom * g**k
+        lowered += qdenom != 1
+        y = wit.eps / qdenom
+        assert height_T(y, S.places()) == pytest.approx(height_value(y), rel=1e-12)
+    assert lowered > 10
