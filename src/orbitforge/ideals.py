@@ -15,6 +15,7 @@ from fractions import Fraction
 from .fields import FieldSpec, NFElement, FieldError
 from .intfactor import (
     DEFAULT_RHO_BUDGET,
+    _divide_out,
     factorize,
     is_prime,
     sieve_primes,
@@ -149,11 +150,7 @@ def _hensel_lift(field: FieldSpec, P: PrimeIdealRec, prec: int) -> tuple[int, in
 def _vp(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return _divide_out(n, p)[1]
 
 
 def ord_ideal(x: NFElement, P: PrimeIdealRec) -> int:

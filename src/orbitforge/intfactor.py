@@ -173,7 +173,8 @@ def perfect_power_base(n: int) -> tuple[int, int]:
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     """Brent-variant Pollard rho with deterministic parameters.
 
-    Returns (factor, steps_used); factor is None when the budget ran out.
+    Returns (factor, steps_used); a step is one modular squaring, those of
+    Brent's advance loop included.  factor is None when the budget ran out.
     """
     if n % 2 == 0:
         return 2, 0
@@ -184,8 +185,10 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
         x = ys = y
         while g == 1 and used < budget:
             x = y
-            for _ in range(r):
+            advance = min(r, budget - used)
+            for _ in range(advance):
                 y = (y * y + c) % n
+            used += advance
             k = 0
             while k < r and g == 1:
                 ys = y

@@ -24,6 +24,7 @@ from .ideals import (
 from .intfactor import (
     DEFAULT_RHO_BUDGET,
     multiplicative_dependence,
+    small_primes,
     strip_primes,
 )
 from .heights import (
@@ -300,13 +301,16 @@ def find_primitive_divisor(
 ) -> ZsigmondyResult:
     """Smallest-norm prime of f^(m)(alpha) absent from the k earlier iterates.
 
-    Only f^(m)(alpha) is factored.  A prime P of it is primitive when
-    ord_P(x_j) <= 0 for every iterate x_j of the window (a non-integral
-    alpha has iterates of negative order), an exact test that factors
-    nothing more.  Raises IncompleteFactorization when f^(m)(alpha) exceeds
-    the factor budget, even when the window holds a zero; the caller
-    decides whether that is a skip.  Raises ValueError when an iterate up
-    to m passes bit_cap.
+    A prime P of f^(m)(alpha) is primitive when ord_P(x_j) <= 0 for every
+    iterate x_j of the window (a non-integral alpha has iterates of
+    negative order), an exact test that factors nothing.  The primes of
+    norm <= 9,973 come first, by trial division of the norm: every other
+    prime lies above a rational prime past the trial bound, so its norm is
+    larger.  f^(m)(alpha) is factored only when none of them answers (and
+    always when the window holds a zero), so such answers add no cache
+    record.  Raises IncompleteFactorization when that factorization
+    exceeds the factor budget; the caller decides whether that is a skip.
+    Raises ValueError when an iterate up to m passes bit_cap.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -319,15 +323,32 @@ def find_primitive_divisor(
     if xm.is_zero() or (xm.is_integral() and abs(xm.norm()) == 1):
         raise ValueError("f^(m)(alpha) is a unit or zero: no divisor to find")
     window = list(range(max(0, m - k), m))
-    fac_m = factor_element_ideal(xm, budget, cache)
     earlier = [orbit.iterates[j] for j in window]
-    primitive = None
-    if not any(x.is_zero() for x in earlier):
-        for P in sorted(fac_m.positive_part(), key=lambda P: (P.norm, P.p, P.kind)):
-            if all(ord_ideal(x, P) <= 0 for x in earlier):
-                primitive = P
-                break
+    if any(x.is_zero() for x in earlier):
+        factor_element_ideal(xm, budget, cache)
+        return ZsigmondyResult(m, k, None, window)
+    trial = small_primes()
+    nm = abs(xm.integral_parts()[0].norm().numerator)
+    below = [
+        P for p in trial if nm % p == 0
+        for P in factor_rational_prime(xm.field, p) if ord_ideal(xm, P) > 0
+    ]
+    primitive = _first_primitive(below, earlier, trial[-1])
+    if primitive is None:
+        fac_m = factor_element_ideal(xm, budget, cache)
+        primitive = _first_primitive(fac_m.positive_part(), earlier, math.inf)
     return ZsigmondyResult(m, k, primitive, window)
+
+
+def _first_primitive(ideals, earlier, norm_cap) -> PrimeIdealRec | None:
+    """First of ideals in (norm, p, kind) order, up to norm_cap, that has
+    order <= 0 at every iterate of earlier."""
+    for P in sorted(ideals, key=lambda P: (P.norm, P.p, P.kind)):
+        if P.norm > norm_cap:
+            break
+        if all(ord_ideal(x, P) <= 0 for x in earlier):
+            return P
+    return None
 
 
 def build_Sk(

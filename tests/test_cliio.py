@@ -490,9 +490,9 @@ def test_cli_cache_record_is_proved_when_a_command_reads_it(tmp_path, monkeypatc
     # "26 = 26" passes every load check; only its primality proof fails
     bad = tmp_path / "bad.txt"
     bad.write_text("# orbitforge-factor-cache v1\n26 = 26\n")
-    reads_26 = _write_cfg(tmp_path, _ini("1,0,1", "", run="alpha = 1\nm = 3"))  # 1, 2, 5, 26
+    reads_26 = _write_cfg(tmp_path, _ini("1,0,1", "", run="alpha = 26"))
     monkeypatch.setenv("ORBITFORGE_CACHE", str(bad))
-    assert main(["primitive-divisors", "--config", reads_26, "--out", str(tmp_path / "o")]) == 1
+    assert main(["heights", "--config", reads_26, "--out", str(tmp_path / "o")]) == 1
     assert "line 2" in capsys.readouterr().err
     misses_26 = str(tmp_path / "misses_26.ini")
     with open(misses_26, "w") as fh:
@@ -504,6 +504,18 @@ def test_cli_cache_record_is_proved_when_a_command_reads_it(tmp_path, monkeypatc
         assert main(["primitive-divisors", "--config", misses_26, "--out", str(out)]) == 0
         outs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert outs["bad"] == outs["clean"] and outs["bad"]
+
+
+def test_cli_primitive_divisor_below_the_trial_bound_needs_no_factor_budget(tmp_path, monkeypatch):
+    # f(1) = 293 * PQ: 293 answers by trial division, so the budget of 10
+    # that cuts PQ is never spent, and the cache gains no record
+    cache_path = tmp_path / "factors.txt"
+    monkeypatch.setenv("ORBITFORGE_CACHE", str(cache_path))
+    cfgp = _write_cfg(tmp_path, _ini(f"{293 * PQ - 1},0,1", "", "factor_budget = 10", "alpha = 1\nm = 1"))
+    out = str(tmp_path / "out")
+    assert main(["primitive-divisors", "--config", cfgp, "--out", out]) == 0
+    assert [r["norm"] for r in _rows(out, "primitive-divisors")[1:]] == [293]
+    assert cache_path.read_text().splitlines()[1:] == []
 
 
 def test_cli_alpha_longer_than_the_bit_cap_allows_is_refused(tmp_path, capsys):

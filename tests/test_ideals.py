@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from orbitforge.fields import make_field
 from orbitforge.ideals import (
@@ -124,6 +125,17 @@ def test_ord_split_deep_powers():
     o_a, o_b = ord_ideal(x, p7a), ord_ideal(x, p7b)
     assert sorted((o_a, o_b)) == [2, 7]
     assert ord_ideal(x.inverse(), p7a) == -o_a
+
+
+@given(st.integers(-10**6, 10**6).filter(bool), st.sampled_from([2, 3, 7, 10007]), st.integers(0, 3000))
+def test_ord_rational_matches_repeated_division(u, p, e):
+    n, v = u * p**e, 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    Q = make_field("rational")
+    assert ord_ideal(Q.element(u * p**e), ideals_above(Q, p)[0]) == v
+    assert ord_ideal(Q.element(Fraction(1, u * p**e)), ideals_above(Q, p)[0]) == -v
 
 
 def test_factor_element_examples():

@@ -1,4 +1,7 @@
+import inspect
 import random
+import re
+import sys
 import time
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from orbitforge.intfactor import (
     IncompleteFactorization,
+    _brent_rho,
     _is_strong_lucas_prp,
     factorize,
     iroot,
@@ -140,6 +144,38 @@ def test_budget_exhaustion_explicit():
     err = ei.value
     assert err.partial.get(2) == 3
     assert err.cofactor == a * b
+
+
+def _rho_with_squarings(n, budget):
+    """_brent_rho(n, budget) and the modular squarings it ran, counted by
+    tracing the lines of the form `y = (y * y + c) % n`."""
+    lines, start = inspect.getsourcelines(_brent_rho)
+    squaring = {
+        start + i for i, line in enumerate(lines) if re.search(r"(\w+) = \(\1 \* \1 \+ c\) % n", line)
+    }
+    assert len(squaring) == 3  # advance loop, batch loop, backtrack
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line" and frame.f_lineno in squaring:
+            count += 1
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is _brent_rho.__code__ else None)
+    try:
+        out = _brent_rho(n, budget)
+    finally:
+        sys.settrace(old)
+    return out, count
+
+
+@pytest.mark.parametrize("budget,found", [(10, False), (100, False), (10**6, True)])
+def test_brent_rho_charges_every_squaring(budget, found):
+    (f, used), squarings = _rho_with_squarings(1000003 * 1000033, budget)
+    assert squarings <= used <= budget
+    assert f in ((1000003, 1000033) if found else (None,))
 
 
 def test_iroot_and_perfect_power():

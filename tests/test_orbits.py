@@ -549,12 +549,21 @@ def _primitive_divisor_case(draw):
     if coeffs[-1].is_zero():
         coeffs[-1] = F.one()
     alpha = element()
-    shape = draw(st.sampled_from(["integral", "root", "non-integral"]))
+    shape = draw(st.sampled_from(["integral", "root", "non-integral", "past-floor"]))
+    m = draw(st.integers(1, 3 if n == 2 else 2))
     if shape == "root":  # f(alpha) = 0 puts a zero in the window
         coeffs[0] = coeffs[0] - Polynomial(F, coeffs)(alpha)
     elif shape == "non-integral":  # iterates with negative orders
         alpha = alpha + F.element(Fraction(1, draw(st.sampled_from([2, 3, 6]))))
-    m = draw(st.integers(1, 3 if n == 2 else 2))
+    elif shape == "past-floor":
+        # f(alpha) = small * large, large a product of primes past the trial
+        # bound: the floor answers with a prime of small, or the full
+        # factorization answers, when the primes of small divide alpha or
+        # have norm past the bound
+        small = draw(st.sampled_from([1, 2, 3, 6, 103]))
+        large = draw(st.sampled_from([10007, 10009, 10037, 10007 * 10009]))
+        coeffs[0] = coeffs[0] - Polynomial(F, coeffs)(alpha) + small * large
+        m = 1
     k = draw(st.integers(0, m + 2))
     return Polynomial(F, coeffs), alpha, m, k
 
@@ -574,6 +583,17 @@ def test_find_primitive_divisor_matches_window_factoring(case):
     assert _outcome(lambda: _result_key(find_primitive_divisor(f, alpha, m, k))) == want
 
 
+def test_find_primitive_divisor_trial_stage_stops_at_its_norm_bound():
+    # over Q(i), 103 is inert, so (103) has norm 10,609, past the trial bound
+    # of 9,973; 10,009 splits, and an ideal above it has the smaller norm
+    f = Polynomial(Fm1, [103 * 10009 - 1, 0, 1])
+    xm = Fm1.element(103 * 10009)
+    assert 10609 in {P.norm for P in factor_element_ideal(xm).positive_part()}
+    res = find_primitive_divisor(f, 1, 1, 1)
+    assert (res.primitive_prime.p, res.primitive_prime.norm) == (10009, 10009)
+    assert _result_key(res) == _result_key(_primitive_divisor_by_window_factoring(f, 1, 1, 1))
+
+
 def _count_calls(monkeypatch, target):
     """Wrap the function at the dotted path target; returns its argument list."""
     module, name = target.rsplit(".", 1)
@@ -590,9 +610,18 @@ def _count_calls(monkeypatch, target):
 
 def test_find_primitive_divisor_factors_only_f_m(monkeypatch):
     calls = _count_calls(monkeypatch, "orbitforge.orbits.factor_element_ideal")
+    # f^(10)(1) = 293 * 328901 * 460829 * 58246829 * (a 531-bit prime):
+    # 293 is primitive, so trial division answers and nothing is factored
     res = find_primitive_divisor(F_SQ1, 1, 10, 10)
-    assert calls == [iterate_orbit(F_SQ1, 1, 10).iterates[10]]
-    assert res.primitive_prime is not None and res.excluded_indices == list(range(10))
+    assert calls == []
+    assert res.primitive_prime.norm == 293 and res.excluded_indices == list(range(10))
+    # x^2 at 2: the only small prime, 2, divides the window, so f^(3)(2) is factored
+    assert find_primitive_divisor(F_SQ, 2, 3, 2).primitive_prime is None
+    assert calls == [Q.element(256)]
+    # a zero in the window: f^(1)(0) is factored first, as before
+    calls.clear()
+    assert find_primitive_divisor(Polynomial(Q, [6, 0, 1]), 0, 1, 1).primitive_prime is None
+    assert calls == [Q.element(6)]
 
 
 def test_build_Sk_examples():
