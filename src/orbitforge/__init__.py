@@ -35,15 +35,12 @@ from .constants import (
     CParams,
     EffectiveBoundReport,
     SplittingData,
-    eta1,
-    eta2,
     eta1_inverse,
     eta2_inverse,
     gyory_yu_height_bound,
     lambda_bound_shape,
     northcott_bound,
     resolve_splitting,
-    sset_params,
     voutier_delta,
     zsigmondy_window,
 )

@@ -22,7 +22,6 @@ from .constants import (
     gyory_yu_height_bound,
     northcott_bound,
     resolve_splitting,
-    sset_params,
     voutier_delta,
 )
 from .fields import FieldError
@@ -127,16 +126,15 @@ def _cmd_heights(cfg: RunConfig, cache):
 
 
 def _cmd_constants(cfg: RunConfig, cache):
-    field = cfg.field
-    s, t, P, Q, T = sset_params(cfg.S)
+    field, S = cfg.field, cfg.S
     rows = [
         {
             "type": "sset_params",
-            "s": s,
-            "t": t,
-            "P": P,
-            "Q": Q,
-            "T_sum": T,
+            "s": S.s,
+            "t": S.t,
+            "P": S.P,
+            "Q": S.Q,
+            "T_sum": S.T_sum,
             "delta_field": field.delta,
             "voutier_delta_d": voutier_delta(field.degree),
             "A3": A3(field) if field.unit_rank >= 1 else None,
@@ -148,16 +146,16 @@ def _cmd_constants(cfg: RunConfig, cache):
         zp = is_zero_periodic(cfg.f, bit_cap=cfg.bit_cap)
         if zp is None:
             raise ValueError(f"0-periodicity unknown within the bit cap of {cfg.bit_cap} bits")
-        sp = cfg.splitting or resolve_splitting(field, cfg.f, budget=cfg.factor_budget)
-        rep = northcott_bound(field, cfg.f, cfg.S, cfg.c_params, sp, zero_periodic=zp)
+        sp = cfg.splitting or resolve_splitting(cfg.f, budget=cfg.factor_budget)
+        rep = northcott_bound(cfg.f, S, cfg.c_params, sp, zero_periodic=zp)
         rows.extend(rep.rows())
         h_beta = float(cfg.run_options.get("h_beta", 0.0))
         rows.append(
             {
                 "type": "gyory_yu_shape",
-                "variant1": gyory_yu_height_bound(1, field, cfg.S, h_beta),
+                "variant1": gyory_yu_height_bound(1, field, S, h_beta),
                 "variant2": (
-                    gyory_yu_height_bound(2, field, cfg.S, h_beta) if t > 0 else None
+                    gyory_yu_height_bound(2, field, S, h_beta) if S.t > 0 else None
                 ),
                 "h_beta": h_beta,
             }

@@ -29,7 +29,7 @@ class ConfigError(ValueError):
 
 _ALLOWED = {
     "field": {"kind", "d"},
-    "poly": {"coeffs", "splitting_degree", "class_number_l", "regulator_l"},
+    "poly": {"coeffs", "splitting_degree", "class_number_l"},
     "sset": {"ideals"},
     "c_params": {"c1", "c2", "c3", "c4", "c5", "c6", "c7"},
     "caps": {"height_cap", "m_max", "bit_cap", "factor_budget", "element_cap"},
@@ -58,8 +58,6 @@ class RunConfig(SearchConfig):
                 cp["poly"]["splitting_degree"] = str(sp.degree_D)
                 if sp.class_number_L is not None:
                     cp["poly"]["class_number_l"] = str(sp.class_number_L)
-                if sp.regulator_L is not None:
-                    cp["poly"]["regulator_l"] = repr(sp.regulator_L)
         cp["sset"] = {"ideals": ",".join(self.S.ideal_selectors())}
         cp["c_params"] = {k: repr(v) for k, v in self.c_params.as_dict().items()}
         cp["caps"] = {
@@ -116,13 +114,19 @@ def _parse_section(cp: configparser.ConfigParser, name: str) -> dict:
     return got
 
 
-def _nonnegative_int(section: str, key: str, text) -> int:
+def _parsed(section: str, key: str, text, kind=int):
+    """kind(text), or a ConfigError that names the key."""
     try:
-        value = int(text)
-    except ValueError:
-        raise ConfigError(f"{section}.{key} must be an integer") from None
-    if value < 0:
-        raise ConfigError(f"{section}.{key} must be >= 0")
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {what}, got {text!r}") from None
+
+
+def _int_at_least(section: str, key: str, text, low: int = 0) -> int:
+    value = _parsed(section, key, text)
+    if value < low:
+        raise ConfigError(f"{section}.{key} must be >= {low}")
     return value
 
 
@@ -145,7 +149,7 @@ def load_config_text(text: str) -> RunConfig:
     if kind == "quadratic":
         if "d" not in fs:
             raise ConfigError("field.D required for quadratic fields")
-        D = int(fs["d"])
+        D = _parsed("field", "d", fs["d"])
     try:
         field = make_field(kind, D)
     except Exception as exc:
@@ -154,30 +158,28 @@ def load_config_text(text: str) -> RunConfig:
     poly = None
     ps = _parse_section(cp, "poly")
     if "coeffs" in ps:
-        coeffs = [Fraction(c.strip()) for c in ps["coeffs"].split(",")]
+        coeffs = [_parsed("poly", "coeffs", c.strip(), Fraction) for c in ps["coeffs"].split(",")]
         poly = Polynomial(field, coeffs)
         if not poly.is_integral():
             raise ConfigError("poly.coeffs must be integral")
     splitting = None
     if "splitting_degree" in ps:
         splitting = SplittingData(
-            int(ps["splitting_degree"]),
-            int(ps["class_number_l"]) if "class_number_l" in ps else None,
-            float(ps["regulator_l"]) if "regulator_l" in ps else None,
-            "config",
+            _int_at_least("poly", "splitting_degree", ps["splitting_degree"], 1),
+            _int_at_least("poly", "class_number_l", ps["class_number_l"], 1)
+            if "class_number_l" in ps else None,
         )
-    elif "class_number_l" in ps or "regulator_l" in ps:
-        given = sorted({"class_number_l", "regulator_l"} & set(ps))
-        raise ConfigError(f"poly.splitting_degree is required with {given}")
+    elif "class_number_l" in ps:
+        raise ConfigError("poly.splitting_degree is required with poly.class_number_l")
 
     ss = _parse_section(cp, "sset")
     S = parse_s_selectors(field, ss.get("ideals", ""))
 
     cs = _parse_section(cp, "c_params")
-    c_params = CParams(**{k: float(v) for k, v in cs.items()})
+    c_params = CParams(**{k: _parsed("c_params", k, v, float) for k, v in cs.items()})
 
     caps = _parse_section(cp, "caps")
-    height_cap = float(caps.get("height_cap", 0.0))
+    height_cap = _parsed("caps", "height_cap", caps.get("height_cap", 0.0), float)
     if not math.isfinite(height_cap) or height_cap < 0:
         raise ConfigError("caps.height_cap must be a finite nonnegative number")
     int_caps = {}
@@ -187,11 +189,13 @@ def load_config_text(text: str) -> RunConfig:
         ("factor_budget", DEFAULT_RHO_BUDGET),
         ("element_cap", DEFAULT_ELEMENT_CAP),
     ):
-        int_caps[key] = _nonnegative_int("caps", key, caps.get(key, default))
+        int_caps[key] = _int_at_least("caps", key, caps.get(key, default))
 
     run = _parse_section(cp, "run")
     for key in sorted(_RUN_INTS & set(run)):
-        _nonnegative_int("run", key, run[key])
+        _int_at_least("run", key, run[key])
+    if "h_beta" in run:
+        _parsed("run", "h_beta", run["h_beta"], float)
     out = _parse_section(cp, "output")
 
     return RunConfig(

@@ -78,11 +78,6 @@ def A3(field: FieldSpec) -> float:
     )
 
 
-def sset_params(S: SSet) -> tuple[int, int, int, int, float]:
-    """(s, t, P, Q, T_sum) for a place set containing the archimedean ones."""
-    return S.s, S.t, S.P, S.Q, S.T_sum
-
-
 # ---------------------------------------------------------------------------
 # configuration containers
 # ---------------------------------------------------------------------------
@@ -106,21 +101,17 @@ class CParams:
 
 @dataclass
 class SplittingData:
-    """Degree and class number of a splitting field, with provenance."""
+    """Degree and class number of a splitting field."""
 
     degree_D: int
     class_number_L: int | None
-    regulator_L: float | None
-    source: str  # "computed" | "config"
 
 
 class SplittingDataError(ValueError):
     pass
 
 
-def resolve_splitting(
-    field: FieldSpec, f: Polynomial, budget: int = DEFAULT_RHO_BUDGET
-) -> SplittingData:
+def resolve_splitting(f: Polynomial, budget: int = DEFAULT_RHO_BUDGET) -> SplittingData:
     """Determine splitting-field parameters, computing them when decidable.
 
     D comes from root analysis (and the cubic discriminant test over Q);
@@ -136,15 +127,12 @@ def resolve_splitting(
             "splitting degree undecidable here: set splitting_degree in the config"
         )
     if D == 1:
-        return SplittingData(
-            1, field.class_number, field.regulator, "computed"
-        )
-    if D == 2 and field.degree == 1:
+        return SplittingData(1, f.field.class_number)
+    if D == 2 and f.field.degree == 1:
         m = splitting_field_disc(f, budget)
         if m is not None:
-            L = make_field("quadratic", m)
-            return SplittingData(2, L.class_number, L.regulator, "computed")
-    return SplittingData(D, None, None, "config")
+            return SplittingData(2, make_field("quadratic", m).class_number)
+    return SplittingData(D, None)
 
 
 def _require_three_roots(f: Polynomial):
@@ -169,7 +157,6 @@ def _log_star_norm_product(S: SSet, D: int) -> tuple[float, bool]:
 
 
 def eta1_inverse(
-    field: FieldSpec,
     f: Polynomial,
     S: SSet,
     c_params: CParams | None = None,
@@ -178,22 +165,20 @@ def eta1_inverse(
     """Reciprocal of the S-part gap factor, first shape."""
     _require_three_roots(f)
     c = c_params or CParams()
-    sp = splitting or resolve_splitting(field, f)
+    sp = splitting or resolve_splitting(f)
     D = sp.degree_D
-    s, t, P, Q, T = sset_params(S)
     prod, _ = _log_star_norm_product(S, D)
     return (
         c.c1
-        * A1(field.degree * D, s * D)
-        * max(1, t)
-        * float(P) ** D
-        * (log_star(P) + T)
+        * A1(f.field.degree * D, S.s * D)
+        * max(1, S.t)
+        * float(S.P) ** D
+        * (log_star(S.P) + S.T_sum)
         * prod
     )
 
 
 def eta2_inverse(
-    field: FieldSpec,
     f: Polynomial,
     S: SSet,
     c_params: CParams | None = None,
@@ -204,29 +189,20 @@ def eta2_inverse(
     if S.t == 0:
         raise ValueError("eta2 needs at least one finite place in S")
     c = c_params or CParams()
-    sp = splitting or resolve_splitting(field, f)
+    sp = splitting or resolve_splitting(f)
     if sp.class_number_L is None:
         raise SplittingDataError(
             "class number of the splitting field required: set class_number_L"
         )
     D = sp.degree_D
-    s, t, P, Q, T = sset_params(S)
     prod, _ = _log_star_norm_product(S, D)
     return (
         c.c1
-        * A2(field.degree * D * sp.class_number_L, t * D)
-        * t
-        * float(P) ** D
+        * A2(f.field.degree * D * sp.class_number_L, S.t * D)
+        * S.t
+        * float(S.P) ** D
         * prod
     )
-
-
-def eta1(field, f, S, c_params=None, splitting=None) -> float:
-    return 1.0 / eta1_inverse(field, f, S, c_params, splitting)
-
-
-def eta2(field, f, S, c_params=None, splitting=None) -> float:
-    return 1.0 / eta2_inverse(field, f, S, c_params, splitting)
 
 
 def gyory_yu_height_bound(
@@ -234,7 +210,6 @@ def gyory_yu_height_bound(
     field: FieldSpec,
     S: SSet,
     h_beta: float,
-    C_config: float = 1.0,
 ) -> float:
     """Height bound shape for solutions of decomposable-form equations.
 
@@ -244,25 +219,22 @@ def gyory_yu_height_bound(
     """
     if h_beta < 0:
         raise ValueError("h_beta must be >= 0")
-    s, t, P, Q, T = sset_params(S)
     prod, _ = _log_star_norm_product(S, 1)
     if variant == 1:
         return (
-            C_config
-            * A1(field.degree, s)
-            * (log_star(Q) + h_beta)
-            * P
-            * (1.0 + T / log_star(P))
+            A1(field.degree, S.s)
+            * (log_star(S.Q) + h_beta)
+            * S.P
+            * (1.0 + S.T_sum / log_star(S.P))
             * prod
         )
     if variant == 2:
-        if t == 0:
+        if S.t == 0:
             raise ValueError("variant 2 needs at least one finite place")
         return (
-            C_config
-            * A2(field.degree * field.class_number, t)
-            * (log_star(Q) + h_beta)
-            * (P / log_star(P))
+            A2(field.degree * field.class_number, S.t)
+            * (log_star(S.Q) + h_beta)
+            * (S.P / log_star(S.P))
             * prod
         )
     raise ValueError("variant must be 1 or 2")
@@ -293,7 +265,6 @@ class EffectiveBoundReport:
 
 
 def northcott_bound(
-    field: FieldSpec,
     f: Polynomial,
     S: SSet,
     c_params: CParams | None = None,
@@ -311,16 +282,16 @@ def northcott_bound(
         raise ValueError("bound requires a polynomial for which 0 is not periodic")
     _require_three_roots(f)
     c = c_params or CParams()
-    sp = splitting or resolve_splitting(field, f)
-    e1 = eta1_inverse(field, f, S, c, sp)
+    sp = splitting or resolve_splitting(f)
+    e1 = eta1_inverse(f, S, c, sp)
     _, substituted = _log_star_norm_product(S, sp.degree_D)
     e2 = None
     b2 = None
     if S.t > 0 and sp.class_number_L is not None:
-        e2 = eta2_inverse(field, f, S, c, sp)
+        e2 = eta2_inverse(f, S, c, sp)
         b2 = c.c2 * e2
     inputs = {
-        "field": repr(field),
+        "field": repr(f.field),
         "poly": repr(f),
         "S": ",".join(S.ideal_selectors()),
         "c_params": c.as_dict(),
@@ -361,19 +332,17 @@ def splitting_transfer_params(K: FieldSpec, L: FieldSpec, S: SSet) -> dict:
         # every ideal of L above p, also when S holds only some of K's
         ideals_L.extend(factor_rational_prime(L, p))
     T = SSet(L, ideals_L)
-    sK, tK, PK, QK, TK = sset_params(S)
-    sL, tL, PL, QL, TL = sset_params(T)
     return {
         "D": D,
         "d_L": L.degree,
-        "s_K": sK,
-        "t_K": tK,
-        "P_K": PK,
-        "s_L": sL,
-        "t_L": tL,
-        "P_L": PL,
+        "s_K": S.s,
+        "t_K": S.t,
+        "P_K": S.P,
+        "s_L": T.s,
+        "t_L": T.t,
+        "P_L": T.P,
         "holds_d": L.degree == D * K.degree,
-        "holds_t": tL <= D * tK,
-        "holds_s": sL <= D * sK,
-        "holds_P": PL <= PK**D,
+        "holds_t": T.t <= D * S.t,
+        "holds_s": T.s <= D * S.s,
+        "holds_P": T.P <= S.P**D,
     }

@@ -465,11 +465,11 @@ def _class_number_real(disc: int, unit_norm: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def make_field(kind: str, D: int | None = None, disc_cap: int = DISC_CAP) -> FieldSpec:
+def make_field(kind: str, D: int | None = None) -> FieldSpec:
     """Build a fully populated FieldSpec for Q or Q(sqrt(D)).
 
     D must be squarefree and different from 0, 1; fields whose
-    |discriminant| exceeds disc_cap are rejected as too large.
+    |discriminant| exceeds DISC_CAP are rejected as too large.
     """
     if kind == "rational":
         f = FieldSpec("rational", None)
@@ -485,9 +485,9 @@ def make_field(kind: str, D: int | None = None, disc_cap: int = DISC_CAP) -> Fie
         raise FieldError("quadratic field needs squarefree D != 0, 1")
     f = FieldSpec("quadratic", D)
     # the cap first: below it, factoring D for the squarefree test is cheap
-    if abs(f.discriminant) > disc_cap:
+    if abs(f.discriminant) > DISC_CAP:
         raise FieldError(
-            f"field too large: |discriminant| = {abs(f.discriminant)} > {disc_cap}"
+            f"field too large: |discriminant| = {abs(f.discriminant)} > {DISC_CAP}"
         )
     if not _is_squarefree(D):
         raise FieldError(f"D = {D} is not squarefree")

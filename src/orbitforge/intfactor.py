@@ -235,9 +235,8 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
     for p in small_primes():
         if p * p > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            n, out[p] = _divide_out(n, p)
     if n == 1:
         return out
     if is_prime(n):

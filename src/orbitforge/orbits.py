@@ -86,10 +86,10 @@ def iterate_orbit(
 # ---------------------------------------------------------------------------
 
 
-def _orbit_walk(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int) -> int | None:
+def _orbit_walk(f: Polynomial, start: NFElement, bit_cap: int) -> int | None:
     """The index where a repeat re-enters the orbit of start (finite orbit);
     -1 once h(x_k) > 2B/(deg-1) certifies a positive canonical height
-    (infinite orbit); None at step_cap or bit_cap.  The certificate needs
+    (infinite orbit); None at CYCLE_STEP_CAP or bit_cap.  The certificate needs
     integral f; B = one_step_bound is computed when it is first tried, and a
     non-integral f with no repeat within the caps raises ValueError."""
     n = f.degree
@@ -99,7 +99,7 @@ def _orbit_walk(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int) ->
     B = None
     seen: dict[NFElement, int] = {}
     x = start
-    for k in range(step_cap + 1):
+    for k in range(CYCLE_STEP_CAP + 1):
         if k:
             x = f(x)
         if x.bit_size() > bit_cap:
@@ -118,25 +118,21 @@ def _orbit_walk(f: Polynomial, start: NFElement, step_cap: int, bit_cap: int) ->
     return None
 
 
-def is_zero_periodic(
-    f: Polynomial, step_cap: int = CYCLE_STEP_CAP, bit_cap: int = DEFAULT_BIT_CAP
-) -> bool | None:
+def is_zero_periodic(f: Polynomial, bit_cap: int = DEFAULT_BIT_CAP) -> bool | None:
     """Whether 0 is a periodic point of f; None when undecided at the caps.
 
     A detected cycle answers exactly.  Without one, a positive canonical
     height of 0 (beyond twice its certified error) rules periodicity out.
     """
-    entry = _orbit_walk(f, f.field.zero(), step_cap, bit_cap)
+    entry = _orbit_walk(f, f.field.zero(), bit_cap)
     return None if entry is None else entry == 0
 
 
-def is_preperiodic(
-    f: Polynomial, alpha, step_cap: int = CYCLE_STEP_CAP, bit_cap: int = DEFAULT_BIT_CAP
-) -> bool | None:
+def is_preperiodic(f: Polynomial, alpha, bit_cap: int = DEFAULT_BIT_CAP) -> bool | None:
     """Whether alpha has a finite forward orbit; None when undecided."""
     if not isinstance(alpha, NFElement):
         alpha = f.field.element(alpha)
-    entry = _orbit_walk(f, alpha, step_cap, bit_cap)
+    entry = _orbit_walk(f, alpha, bit_cap)
     return None if entry is None else entry >= 0
 
 
@@ -525,9 +521,7 @@ class SPartWitness:
         }
 
 
-def spart_witness_from_value(
-    field: FieldSpec, b: NFElement, deg_f: int, S: SSet
-) -> SPartWitness:
+def spart_witness_from_value(b: NFElement, deg_f: int, S: SSet) -> SPartWitness:
     """Constructive witness for the S-part height gap of the value b.
 
     Decomposes the orders of b at the finite places of S as
@@ -549,6 +543,7 @@ def spart_witness_from_value(
         raise ValueError("witness needs an integral value")
     if deg_f < 2:
         raise ValueError("witness needs deg f >= 2")
+    field = b.field
     h = field.class_number
     d = field.degree
     ideals = list(S.ideals)
@@ -608,4 +603,4 @@ def spart_witness(f: Polynomial, alpha, S: SSet) -> SPartWitness:
     b = f(alpha)
     if b.is_zero():
         raise ZeroDivisionError("f(alpha) = 0")
-    return spart_witness_from_value(field, b, f.degree, S)
+    return spart_witness_from_value(b, f.degree, S)

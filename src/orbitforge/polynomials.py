@@ -69,7 +69,13 @@ class Polynomial:
 
     @cached_property
     def peeled(self) -> tuple[tuple[NFElement, ...], "Polynomial"]:
-        """(roots in the base field, the cofactor left after dividing them out)."""
+        """(roots in the base field, the cofactor left after dividing them out).
+
+        The roots come with multiplicity.  Rational roots come first, ordered
+        by |numerator|, then denominator, then sign; the two roots of a
+        remaining quadratic factor that splits by the square test in the
+        field follow.  A remaining factor of degree >= 3 is left alone.
+        """
         field = self.field
         if self.degree < 1:
             return (), self
@@ -194,17 +200,6 @@ def _from_sqrtd_coords(field: FieldSpec, u: Fraction, v: Fraction) -> NFElement:
     if field._omega_half:
         return field.element(u - v, 2 * v)
     return field.element(u, v)
-
-
-def roots_in_field(f: Polynomial) -> list[NFElement]:
-    """All roots of f lying in the base field, with multiplicity.
-
-    Rational roots come first, ordered by |numerator|, then denominator,
-    then sign; the two roots of a remaining quadratic factor that splits
-    by the square test in the field follow.  A remaining factor of
-    degree >= 3 is left alone.
-    """
-    return list(f.peeled[0])
 
 
 def _rational_roots(f: Polynomial) -> list[Fraction]:

@@ -44,7 +44,7 @@ DEFAULT_M_MAX = 8
 
 @dataclass
 class SearchConfig:
-    """Campaign inputs; shard_count is ignored (one sequential scan, sorted rows)."""
+    """Campaign inputs (one sequential scan, sorted rows)."""
 
     field: FieldSpec
     f: Polynomial | None
@@ -56,11 +56,9 @@ class SearchConfig:
     element_cap: int = DEFAULT_ELEMENT_CAP
     c_params: CParams = dc_field(default_factory=CParams)
     splitting: SplittingData | None = None
-    shard_count: int = 1
 
     def provenance(self) -> dict:
-        """Result-defining inputs only; execution details like shard_count
-        stay out so that shard-invariance can be byte-exact."""
+        """The result-defining inputs, echoed in every report."""
         return {
             "field": repr(self.field),
             "poly": None if self.f is None else repr(self.f),
@@ -264,10 +262,8 @@ def _scan_alpha(orbit: OrbitRecord, S: SSet, c_norms: tuple[int, ...]):
 
 def _bound_annotation(cfg: SearchConfig) -> list[dict]:
     try:
-        sp = cfg.splitting or resolve_splitting(cfg.field, cfg.f, budget=cfg.factor_budget)
-        rep = northcott_bound(
-            cfg.field, cfg.f, cfg.S, cfg.c_params, sp, zero_periodic=False
-        )
+        sp = cfg.splitting or resolve_splitting(cfg.f, budget=cfg.factor_budget)
+        rep = northcott_bound(cfg.f, cfg.S, cfg.c_params, sp, zero_periodic=False)
         return rep.rows()
     except Exception as exc:  # annotation only: report the gap, never die
         return [{"type": "annotation_error", "error": str(exc)}]
@@ -355,13 +351,11 @@ def verify_spart_empirical(cfg: SearchConfig, sample_count: int) -> CampaignRepo
         summary["max_rho"] = best[0]
         summary["argmax_alpha"] = best[1].as_string()
         summary["eta_empirical"] = eta_emp
-        sp = cfg.splitting or resolve_splitting(cfg.field, cfg.f, budget=cfg.factor_budget)
-        e1 = eta1_inverse(cfg.field, cfg.f, cfg.S, CParams(), sp)
+        sp = cfg.splitting or resolve_splitting(cfg.f, budget=cfg.factor_budget)
+        e1 = eta1_inverse(cfg.f, cfg.S, CParams(), sp)
         summary["eta1_formula"] = 1.0 / e1
         if cfg.S.t > 0 and sp.class_number_L is not None:
-            summary["eta2_formula"] = 1.0 / eta2_inverse(
-                cfg.field, cfg.f, cfg.S, CParams(), sp
-            )
+            summary["eta2_formula"] = 1.0 / eta2_inverse(cfg.f, cfg.S, CParams(), sp)
         else:
             summary["eta2_formula"] = None
         summary["larger"] = (

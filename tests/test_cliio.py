@@ -46,7 +46,7 @@ def test_config_round_trip():
     rest = "\n[c_params]\nc4 = 0.5\n\n[caps]\nheight_cap = 3.912023005428146\nm_max = 4\n"
     with_splitting = MINIMAL.replace(
         "coeffs = 3,-1,0,1\n",
-        "coeffs = 3,-1,0,1\nsplitting_degree = 6\nclass_number_l = 1\nregulator_l = 0.5\n",
+        "coeffs = 3,-1,0,1\nsplitting_degree = 6\nclass_number_l = 1\n",
     )
     for text in (MINIMAL + rest, with_splitting + rest):
         cfg = load_config_text(text)
@@ -56,7 +56,7 @@ def test_config_round_trip():
         assert cfg2.c_params == cfg.c_params
         assert cfg2.S.ideal_selectors() == cfg.S.ideal_selectors()
         assert cfg2.splitting == cfg.splitting
-    assert cfg.splitting == SplittingData(6, 1, 0.5, "config")
+    assert cfg.splitting == SplittingData(6, 1)
 
 
 def test_config_rejections():
@@ -75,9 +75,28 @@ def test_config_rejections():
     for key, value in (("m_max", -1), ("bit_cap", -5), ("factor_budget", -1), ("element_cap", -1)):
         with pytest.raises(ConfigError, match=f"caps.{key}"):
             load_config_text(MINIMAL + f"\n[caps]\n{key} = {value}\n")
-    for key in ("class_number_l", "regulator_l"):
-        with pytest.raises(ConfigError, match=f"splitting_degree.*{key}"):
-            load_config_text(MINIMAL.replace("coeffs = 3,-1,0,1\n", f"coeffs = 3,-1,0,1\n{key} = 1\n"))
+    with pytest.raises(ConfigError, match="splitting_degree.*class_number_l"):
+        load_config_text(MINIMAL.replace("coeffs = 3,-1,0,1\n", "coeffs = 3,-1,0,1\nclass_number_l = 1\n"))
+    with pytest.raises(ConfigError, match=r"unknown keys in \[poly\]: \['regulator_l'\]"):
+        load_config_text(MINIMAL.replace(
+            "coeffs = 3,-1,0,1\n", "coeffs = 3,-1,0,1\nsplitting_degree = 6\nregulator_l = 0.5\n"))
+    # a value that does not parse, or is out of range, is refused naming its key
+    poly = "coeffs = 3,-1,0,1\n"
+    for bad, message in (
+        (("[field]\nkind = rational\n", "[field]\nkind = quadratic\nd = two\n"), "field.d must be an integer"),
+        (("[sset]", "[caps]\nheight_cap = abc\n\n[sset]"), "caps.height_cap must be a number"),
+        ((poly, poly + "splitting_degree = six\n"), "poly.splitting_degree must be an integer"),
+        ((poly, poly + "splitting_degree = 0\n"), "poly.splitting_degree must be >= 1"),
+        ((poly, poly + "splitting_degree = 6\nclass_number_l = 0\n"), "poly.class_number_l must be >= 1"),
+        (("[sset]", "[c_params]\nc1 = x\n\n[sset]"), "c_params.c1 must be a number"),
+        ((poly, "coeffs = 3,-1,,1\n"), "poly.coeffs must be a number, got ''"),
+        ((poly, "coeffs = 3,1/0,1\n"), "poly.coeffs must be a number"),
+        (("[sset]", "[run]\nh_beta = abc\n\n[sset]"), "run.h_beta must be a number"),
+    ):
+        text = MINIMAL.replace(*bad)
+        assert text != MINIMAL
+        with pytest.raises(ConfigError, match=message):
+            load_config_text(text)
     for key in ("x_bound", "variant"):
         with pytest.raises(ConfigError, match=key):
             load_config_text(MINIMAL + f"\n[run]\n{key} = 1\n")

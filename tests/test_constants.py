@@ -9,9 +9,7 @@ from orbitforge.constants import (
     CParams,
     SplittingData,
     SplittingDataError,
-    eta1,
     eta1_inverse,
-    eta2,
     eta2_inverse,
     gyory_yu_height_bound,
     lambda_bound_shape,
@@ -19,7 +17,6 @@ from orbitforge.constants import (
     northcott_bound,
     resolve_splitting,
     splitting_transfer_params,
-    sset_params,
     voutier_delta,
     zsigmondy_window,
 )
@@ -92,46 +89,43 @@ def test_A3():
 
 
 def test_sset_params_examples():
-    assert sset_params(S_INF) == (1, 0, 1, 1, 0.0)
-    s, t, P, Qn, T = sset_params(S_of(Q, 2, 3))
-    assert (s, t, P, Qn) == (3, 2, 3, 6)
-    assert T == pytest.approx(2.0)  # log log 2 and log log 3 both below 1
+    assert (S_INF.s, S_INF.t, S_INF.P, S_INF.Q, S_INF.T_sum) == (1, 0, 1, 1, 0.0)
+    S23 = S_of(Q, 2, 3)
+    assert (S23.s, S23.t, S23.P, S23.Q) == (3, 2, 3, 6)
+    assert S23.T_sum == pytest.approx(2.0)  # log log 2 and log log 3 both below 1
     ram = S_of(F2, 2)
-    s, t, P, Qn, T = sset_params(ram)
-    assert (t, P, Qn) == (1, 2, 2)
+    assert (ram.t, ram.P, ram.Q) == (1, 2, 2)
 
 
 def test_eta1_examples():
-    e = eta1_inverse(Q, F_SPLIT, S_INF)
+    e = eta1_inverse(F_SPLIT, S_INF)
     assert e == pytest.approx(128 * math.log(2), rel=1e-12)
-    assert eta1(Q, F_SPLIT, S_INF) == pytest.approx(1 / e)
     S23 = S_of(Q, 2, 3)
     expected = (
         A1(1, 3) * 2 * 3 * (math.log(3) + 2.0) * (1.0 * math.log(3))
     )
-    assert eta1_inverse(Q, F_SPLIT, S23) == pytest.approx(expected, rel=1e-12)
+    assert eta1_inverse(F_SPLIT, S23) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eta_preconditions():
     with pytest.raises(ValueError):
-        eta1_inverse(Q, Polynomial(Q, [0, 0, 1]), S_INF)  # x^2: one distinct root
+        eta1_inverse(Polynomial(Q, [0, 0, 1]), S_INF)  # x^2: one distinct root
     with pytest.raises(ValueError):
-        eta2_inverse(Q, F_SPLIT, S_INF)  # t = 0
+        eta2_inverse(F_SPLIT, S_INF)  # t = 0
 
 
 def test_eta2_example():
     S23 = S_of(Q, 2, 3)
     expected = A2(1, 2) * 2 * 3 * (1.0 * math.log(3))
-    assert eta2_inverse(Q, F_SPLIT, S23) == pytest.approx(expected, rel=1e-12)
-    assert eta2(Q, F_SPLIT, S23) == pytest.approx(1 / expected)
+    assert eta2_inverse(F_SPLIT, S23) == pytest.approx(expected, rel=1e-12)
 
 
 def test_eta_in_unit_interval():
     for S in (S_INF, S_of(Q, 2), S_of(Q, 2, 3, 5)):
-        v = eta1(Q, F_SPLIT, S)
+        v = 1 / eta1_inverse(F_SPLIT, S)
         assert 0 < v < 1
         if S.t:
-            assert 0 < eta2(Q, F_SPLIT, S) < 1
+            assert 0 < 1 / eta2_inverse(F_SPLIT, S) < 1
 
 
 def test_gyory_yu_examples():
@@ -150,42 +144,40 @@ def test_gyory_yu_examples():
 
 
 def test_resolve_splitting():
-    sp = resolve_splitting(Q, F_SPLIT)
-    assert sp.degree_D == 1 and sp.class_number_L == 1 and sp.source == "computed"
-    sp2 = resolve_splitting(Q, Polynomial(Q, [1, 0, 1]))
+    sp = resolve_splitting(F_SPLIT)
+    assert sp.degree_D == 1 and sp.class_number_L == 1
+    sp2 = resolve_splitting(Polynomial(Q, [1, 0, 1]))
     assert sp2.degree_D == 2 and sp2.class_number_L == 1  # Q(i)
-    spm5 = resolve_splitting(Q, Polynomial(Q, [5, 0, 1]))
+    spm5 = resolve_splitting(Polynomial(Q, [5, 0, 1]))
     assert spm5.degree_D == 2 and spm5.class_number_L == 2  # Q(sqrt(-5))
-    sp6 = resolve_splitting(Q, Polynomial(Q, [3, -1, 0, 1]))
-    assert sp6.degree_D == 6 and sp6.class_number_L is None and sp6.source == "config"
-    sp_cfg = SplittingData(6, 4, None, "config")
-    assert sp_cfg.class_number_L == 4 and sp_cfg.source == "config"
+    sp6 = resolve_splitting(Polynomial(Q, [3, -1, 0, 1]))
+    assert sp6.degree_D == 6 and sp6.class_number_L is None
+    sp_cfg = SplittingData(6, 4)
+    assert sp_cfg.class_number_L == 4
     with pytest.raises(SplittingDataError):
-        resolve_splitting(Q, Polynomial(Q, [2, 0, 0, 0, 1]))
+        resolve_splitting(Polynomial(Q, [2, 0, 0, 0, 1]))
     with pytest.raises(SplittingDataError):
-        eta2_inverse(Q, Polynomial(Q, [3, -1, 0, 1]), S_of(Q, 2))
+        eta2_inverse(Polynomial(Q, [3, -1, 0, 1]), S_of(Q, 2))
 
 
 def test_northcott_bound_examples():
-    rep = northcott_bound(Q, F_SPLIT, S_INF, zero_periodic=False)
+    rep = northcott_bound(F_SPLIT, S_INF, zero_periodic=False)
     assert rep.northcott_bound_h == pytest.approx(128 * math.log(2), rel=1e-12)
     assert rep.eta2_inv is None and rep.northcott_bound_h2 is None
-    rep2 = northcott_bound(
-        Q, F_SPLIT, S_INF, CParams(c2=2.0), zero_periodic=False
-    )
+    rep2 = northcott_bound(F_SPLIT, S_INF, CParams(c2=2.0), zero_periodic=False)
     assert rep2.northcott_bound_h == pytest.approx(2 * rep.northcott_bound_h)
     with pytest.raises(ValueError):
-        northcott_bound(Q, Polynomial(Q, [-1, 0, 1]), S_INF, zero_periodic=True)
+        northcott_bound(Polynomial(Q, [-1, 0, 1]), S_INF, zero_periodic=True)
     with pytest.raises(ValueError):
-        northcott_bound(Q, F_SPLIT, S_INF, zero_periodic=None)
-    repS = northcott_bound(Q, F_SPLIT, S_of(Q, 2, 3), zero_periodic=False)
+        northcott_bound(F_SPLIT, S_INF, zero_periodic=None)
+    repS = northcott_bound(F_SPLIT, S_of(Q, 2, 3), zero_periodic=False)
     assert repS.eta2_inv is not None and repS.northcott_bound_h2 is not None
     assert repS.log_star_substituted  # norm-2 ideal present
 
 
 def test_report_reproducibility():
-    a = northcott_bound(Q, F_SPLIT, S_of(Q, 2, 5), zero_periodic=False)
-    b = northcott_bound(Q, F_SPLIT, S_of(Q, 2, 5), zero_periodic=False)
+    a = northcott_bound(F_SPLIT, S_of(Q, 2, 5), zero_periodic=False)
+    b = northcott_bound(F_SPLIT, S_of(Q, 2, 5), zero_periodic=False)
     assert a.rows() == b.rows()
 
 

@@ -135,6 +135,16 @@ def test_factorize_perfect_powers_and_large_primes():
     assert factorize(q) == {q: 1}
 
 
+@pytest.mark.parametrize(
+    "n",
+    [2**16384, 3**10000 * 7, 2**5000 * 3**3000 * 9973**200, 7**4096 * 10007**3,
+     2**1000 * (2**89 - 1)],
+    ids=["2^16384", "3^10000*7", "2^5000*3^3000*9973^200", "7^4096*10007^3", "2^1000*M89"],
+)
+def test_factorize_large_prime_powers_against_sympy(n):
+    assert factorize(n) == sympy.factorint(n)
+
+
 def test_budget_exhaustion_explicit():
     # two 30-digit primes: far beyond any tiny rho budget
     a = sympy.nextprime(10**29 + 12345)

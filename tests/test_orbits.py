@@ -151,9 +151,9 @@ def test_periodicity_walk_matches_two_pass_oracle(case):
     if zp != "ValueError":
         zp = None if zp[0] is None else zp[0] and zp[1]
     if pre is not None:
-        assert _outcome(is_preperiodic, f, alpha, CYCLE_STEP_CAP, bit_cap) == pre
+        assert _outcome(is_preperiodic, f, alpha, bit_cap) == pre
     if zp is not None:
-        assert _outcome(is_zero_periodic, f, CYCLE_STEP_CAP, bit_cap) == zp
+        assert _outcome(is_zero_periodic, f, bit_cap) == zp
 
 
 def test_zero_periodic_non_integral_fixed_point():
@@ -745,7 +745,7 @@ def test_spart_witness_quadratic_instance():
     p7 = factor_rational_prime(F2, 7)
     S7 = SSet(F2, p7)
     b = F2.element(3, 1) ** 2
-    wit = spart_witness_from_value(F2, b, 3, S7)
+    wit = spart_witness_from_value(b, 3, S7)
     assert sorted(wit.exponents) == [0, 2]
     assert wit.slack_lower >= 0 and wit.slack_upper >= 0
     # recombination of the S-decomposition against the full norm

@@ -6,7 +6,6 @@ from orbitforge.fields import make_field
 from orbitforge.polynomials import (
     Polynomial,
     poly_gcd,
-    roots_in_field,
     splitting_degree,
     splitting_field_disc,
     square_root_in_field,
@@ -61,12 +60,12 @@ def test_square_root_in_field():
 
 def test_roots_in_field():
     f = Polynomial(Q, [-6, 11, -6, 1])
-    assert sorted(r.a for r in roots_in_field(f)) == [1, 2, 3]
+    assert sorted(r.a for r in f.peeled[0]) == [1, 2, 3]
     g = Polynomial(F2, [-2, 0, 1])  # x^2 - 2
-    roots = roots_in_field(g)
+    roots = g.peeled[0]
     assert len(roots) == 2 and all((r * r) == 2 for r in roots)
     h = Polynomial(Q, [1, 0, 1])
-    assert roots_in_field(h) == []
+    assert h.peeled[0] == ()
 
 
 def test_splitting_degree_cases():

@@ -130,7 +130,7 @@ def _campaign_config(**kw):
         S=S_of(Q, 2, 3, 5),
         height_cap=math.log(50),
         m_max=4,
-        splitting=SplittingData(6, 1, None, "config"),
+        splitting=SplittingData(6, 1),
     )
     defaults.update(kw)
     return SearchConfig(**defaults)
@@ -220,8 +220,7 @@ def test_dependence_campaign_matches_independent_oracle():
 def test_campaign_determinism_and_shard_invariance():
     base = search_dependence(_campaign_config()).to_jsonl()
     again = search_dependence(_campaign_config()).to_jsonl()
-    sharded = search_dependence(_campaign_config(shard_count=4)).to_jsonl()
-    assert base == again == sharded
+    assert base == again
 
 
 def test_campaign_refuses_zero_periodic_or_unknown():
@@ -242,7 +241,7 @@ def test_campaign_contains_known_power_witness():
         S=SSet(Q, []),
         height_cap=math.log(2),
         m_max=2,
-        splitting=SplittingData(1, 1, None, "config"),
+        splitting=SplittingData(1, 1),
     )
     with pytest.raises(ValueError):
         search_dependence(cfg)  # 0 is fixed by x^2: zero-periodic
@@ -280,7 +279,7 @@ def test_dependence_search_never_factors_and_evaluates_each_iterate_once(monkeyp
         zero_scan = evals[0]
         # splitting data supplied: the bound annotation evaluates nothing
         cfg = SearchConfig(field=F, f=f, S=S_of(F, 2, 3, 5), height_cap=1.0, m_max=2,
-                           splitting=SplittingData(6, 1, None, "config"))
+                           splitting=SplittingData(6, 1))
         alphas = len(ring_elements_capped(F, cfg.height_cap)[0])
         evals[0] = 0
         rep = search_dependence(cfg)
