@@ -79,10 +79,13 @@ def _parse_record(line: str, lineno: int) -> tuple[int, dict[int, int]]:
 
 
 class FactorCache:
-    """In-memory factor map, optionally persisted to an append-only file."""
+    """The one route by which a command factors: it carries the factor budget
+    (rho steps per integer) and keeps the factorizations in memory, and with a
+    path also in that file.  Empty, it is falsy: test arguments `is not None`."""
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str | None = None, budget: int = DEFAULT_RHO_BUDGET):
         self.path = path
+        self.budget = budget
         self._map: dict[int, dict[int, int]] = {}
         # loaded records whose factors no lookup has proved prime yet:
         # n -> (line number, line length)
@@ -110,7 +113,7 @@ class FactorCache:
                 self._map[n] = fac
                 self._unproved[n] = (i, len(line))
 
-    def lookup_or_factor(self, n: int, budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
+    def lookup_or_factor(self, n: int) -> dict[int, int]:
         """Stored factorization of n >= 2 (a loaded record's primes are proved
         on its first hit), computing and appending on a miss."""
         if n < 2:
@@ -125,7 +128,7 @@ class FactorCache:
                     raise _corrupt(*where, "a factor is not prime")
                 del self._unproved[n]
             return dict(hit)
-        fac = factorize(n, budget)
+        fac = factorize(n, self.budget)
         self._map[n] = fac
         if self.path:
             with int_str_limit(0), open(self.path, "a", encoding="utf-8") as fh:
@@ -135,6 +138,3 @@ class FactorCache:
     def __len__(self):
         return len(self._map)
 
-
-def default_cache_path() -> str | None:
-    return os.environ.get(ENV_CACHE_PATH)

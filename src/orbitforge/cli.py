@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .cache import FactorCache, default_cache_path, int_str_limit
+from .cache import ENV_CACHE_PATH, FactorCache, int_str_limit
 from .config import ConfigError, RunConfig, load_config
 from .constants import (
     A1,
@@ -99,9 +99,9 @@ def _provenance_report(cfg: RunConfig, kind: str, rows) -> CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_heights(cfg: RunConfig, cache):
+def _cmd_heights(cfg: RunConfig, factors: FactorCache):
     x = _alpha(cfg)
-    hb = height(x, cfg.factor_budget, cache)
+    hb = height(x, factors)
     rows = [
         {
             "type": "height",
@@ -114,7 +114,7 @@ def _cmd_heights(cfg: RunConfig, cache):
     for pl, contrib in hb.contributions:
         rows.append({"type": "height_place", "place": repr(pl), "contribution": contrib})
     if not x.is_zero():
-        st = support_lambda(x, cfg.factor_budget, cache)
+        st = support_lambda(x, factors)
         rows.append(
             {
                 "type": "support",
@@ -125,7 +125,7 @@ def _cmd_heights(cfg: RunConfig, cache):
     return _provenance_report(cfg, "heights", rows)
 
 
-def _cmd_constants(cfg: RunConfig, cache):
+def _cmd_constants(cfg: RunConfig, factors: FactorCache):
     field, S = cfg.field, cfg.S
     rows = [
         {
@@ -146,7 +146,7 @@ def _cmd_constants(cfg: RunConfig, cache):
         zp = is_zero_periodic(cfg.f, bit_cap=cfg.bit_cap)
         if zp is None:
             raise ValueError(f"0-periodicity unknown within the bit cap of {cfg.bit_cap} bits")
-        sp = cfg.splitting or resolve_splitting(cfg.f, budget=cfg.factor_budget)
+        sp = cfg.splitting or resolve_splitting(cfg.f, factors)
         rep = northcott_bound(cfg.f, S, cfg.c_params, sp, zero_periodic=zp)
         rows.extend(rep.rows())
         h_beta = float(cfg.run_options.get("h_beta", 0.0))
@@ -163,7 +163,7 @@ def _cmd_constants(cfg: RunConfig, cache):
     return _provenance_report(cfg, "constants", rows)
 
 
-def _cmd_orbit(cfg: RunConfig, cache):
+def _cmd_orbit(cfg: RunConfig, factors: FactorCache):
     x = _alpha(cfg)
     m = int(cfg.run_options.get("m", cfg.m_max))
     orb = iterate_orbit(cfg.f, x, m, cfg.bit_cap)
@@ -174,7 +174,7 @@ def _cmd_orbit(cfg: RunConfig, cache):
                 "type": "orbit_row",
                 "k": k,
                 "value": it.as_string(),
-                "h": height_value(it, cfg.factor_budget, cache),
+                "h": height_value(it, factors),
             }
         )
     if orb.truncated:
@@ -182,7 +182,7 @@ def _cmd_orbit(cfg: RunConfig, cache):
     return _provenance_report(cfg, "orbit", rows)
 
 
-def _cmd_witness(cfg: RunConfig, cache):
+def _cmd_witness(cfg: RunConfig, factors: FactorCache):
     x = _alpha(cfg)
     m = int(_need(cfg, "m"))
     n = int(_need(cfg, "n"))
@@ -201,24 +201,22 @@ def _cmd_witness(cfg: RunConfig, cache):
     return _provenance_report(cfg, "witness", rows)
 
 
-def _cmd_search_dependence(cfg: RunConfig, cache):
+def _cmd_search_dependence(cfg: RunConfig, factors: FactorCache):
     return search_dependence(cfg)
 
 
-def _cmd_sunit_scan(cfg: RunConfig, cache):
+def _cmd_sunit_scan(cfg: RunConfig, factors: FactorCache):
     n_max = int(cfg.run_options.get("n_max", cfg.m_max))
     return search_sunit_orbit_values(cfg, n_max)
 
 
-def _cmd_primitive_divisors(cfg: RunConfig, cache):
+def _cmd_primitive_divisors(cfg: RunConfig, factors: FactorCache):
     x = _alpha(cfg)
     m = int(_need(cfg, "m"))
     k = int(cfg.run_options.get("k", m))
     rows = []
     try:
-        res = find_primitive_divisor(
-            cfg.f, x, m, k, cfg.factor_budget, cache, cfg.bit_cap
-        )
+        res = find_primitive_divisor(cfg.f, x, m, k, factors, cfg.bit_cap)
         rows.append(
             {
                 "type": "primitive_divisor",
@@ -234,17 +232,15 @@ def _cmd_primitive_divisors(cfg: RunConfig, cache):
     return _provenance_report(cfg, "primitive-divisors", rows)
 
 
-def _cmd_lambda_report(cfg: RunConfig, cache):
+def _cmd_lambda_report(cfg: RunConfig, factors: FactorCache):
     x = _alpha(cfg)
     n = int(cfg.run_options.get("n", 0))
     m_max = int(cfg.run_options.get("m", cfg.m_max))
-    rows = lambda_growth_report(
-        cfg.f, x, n, m_max, cfg.c_params.c4, cfg.factor_budget, cfg.bit_cap, cache
-    )
+    rows = lambda_growth_report(cfg.f, x, n, m_max, cfg.c_params.c4, cfg.bit_cap, factors)
     return _provenance_report(cfg, "lambda-report", rows)
 
 
-def _cmd_verify_spart(cfg: RunConfig, cache):
+def _cmd_verify_spart(cfg: RunConfig, factors: FactorCache):
     rows = []
     if "alpha" in cfg.run_options:
         x = _alpha(cfg)
@@ -268,7 +264,7 @@ _HANDLERS = {
 }
 
 
-def run_command(name: str, cfg: RunConfig, out_dir: str, cache=None) -> int:
+def run_command(name: str, cfg: RunConfig, out_dir: str, factors: FactorCache) -> int:
     if name not in _HANDLERS:
         raise ConfigError(f"unknown command {name!r}")
     if cfg.f is None and name not in ("heights", "constants"):
@@ -276,7 +272,7 @@ def run_command(name: str, cfg: RunConfig, out_dir: str, cache=None) -> int:
     # iterates up to the bit cap must print: let int <-> str take the length of
     # a 2*bit_cap-bit norm (0.30103 > log10 2), kept finite and within a C int
     with int_str_limit(min(2 * cfg.bit_cap * 30103 // 100000 + 1, 2**31 - 1)):
-        report = _HANDLERS[name](cfg, cache)
+        report = _HANDLERS[name](cfg, factors)
         write_report(report, out_dir, name)
     return 2 if report.partial else 0
 
@@ -293,9 +289,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out_dir = args.out or cfg.output_dir or "."
-        cache_path = default_cache_path()
-        cache = FactorCache(cache_path) if cache_path else None
-        code = run_command(args.command, cfg, out_dir, cache)
+        factors = FactorCache(os.environ.get(ENV_CACHE_PATH), cfg.factor_budget)
+        code = run_command(args.command, cfg, out_dir, factors)
         return code
     except (ConfigError, FieldError, ValueError, ArithmeticError, OSError) as exc:
         print(f"orbitforge: error: {exc}", file=sys.stderr)

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, asdict
 
+from .cache import FactorCache
 from .fields import FieldSpec, make_field
 from .ideals import SSet, factor_rational_prime
-from .intfactor import DEFAULT_RHO_BUDGET
 from .polynomials import Polynomial, splitting_degree, splitting_field_disc
 
 
@@ -111,15 +111,15 @@ class SplittingDataError(ValueError):
     pass
 
 
-def resolve_splitting(f: Polynomial, budget: int = DEFAULT_RHO_BUDGET) -> SplittingData:
+def resolve_splitting(f: Polynomial, factors: FactorCache | None = None) -> SplittingData:
     """Determine splitting-field parameters, computing them when decidable.
 
     D comes from root analysis (and the cubic discriminant test over Q);
     the class number is computed when the splitting field is the base
     field or a quadratic field over Q, and is None otherwise (configured
     splitting data, loaded by the config, is the only other source).
-    Factoring the discriminant of a quadratic splitting field is bounded
-    by budget (IncompleteFactorization past it).
+    The discriminant of a quadratic splitting field is factored through
+    factors (IncompleteFactorization past its budget).
     """
     D = splitting_degree(f)
     if D is None:
@@ -129,7 +129,7 @@ def resolve_splitting(f: Polynomial, budget: int = DEFAULT_RHO_BUDGET) -> Splitt
     if D == 1:
         return SplittingData(1, f.field.class_number)
     if D == 2 and f.field.degree == 1:
-        m = splitting_field_disc(f, budget)
+        m = splitting_field_disc(f, factors)
         if m is not None:
             return SplittingData(2, make_field("quadratic", m).class_number)
     return SplittingData(D, None)

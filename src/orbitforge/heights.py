@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cache import FactorCache
 from .fields import NFElement
 from .ideals import (
     Place,
@@ -23,7 +24,6 @@ from .ideals import (
     finite_place,
     ord_ideal,
 )
-from .intfactor import DEFAULT_RHO_BUDGET, factorize
 from .polynomials import Polynomial
 
 _SHIFT_BITS = 900
@@ -106,7 +106,7 @@ def _arch_contributions(x: NFElement) -> list[tuple[Place, float]]:
     return out
 
 
-def height(x: NFElement, budget: int = DEFAULT_RHO_BUDGET, cache=None) -> HeightBreakdown:
+def height(x: NFElement, factors: FactorCache | None = None) -> HeightBreakdown:
     """Weil height breakdown of x; h(0) = 0 by the log+ convention.
 
     The finite part only sees primes dividing the coordinate denominators,
@@ -118,7 +118,8 @@ def height(x: NFElement, budget: int = DEFAULT_RHO_BUDGET, cache=None) -> Height
     contributions = _arch_contributions(x)
     _, m = x.integral_parts()
     if m > 1:
-        fac = factorize(m, budget) if cache is None else cache.lookup_or_factor(m, budget)
+        factors = factors if factors is not None else FactorCache()
+        fac = factors.lookup_or_factor(m)
         for p in sorted(fac):
             for P in factor_rational_prime(field, p):
                 o = ord_ideal(x, P)
@@ -126,12 +127,14 @@ def height(x: NFElement, budget: int = DEFAULT_RHO_BUDGET, cache=None) -> Height
                     contributions.append(
                         (finite_place(P), Fraction(P.f * -o, field.degree) * math.log(P.p))
                     )
-    total = float(sum(c for _, c in contributions))
-    return HeightBreakdown(contributions, total)
+    total = 0  # left to right: from Python 3.12 on, sum() of floats rounds differently
+    for _, c in contributions:
+        total += c
+    return HeightBreakdown(contributions, float(total))
 
 
-def height_value(x: NFElement, budget: int = DEFAULT_RHO_BUDGET, cache=None) -> float:
-    return height(x, budget, cache).total
+def height_value(x: NFElement, factors: FactorCache | None = None) -> float:
+    return height(x, factors).total
 
 
 def height_T(x: NFElement, places) -> float:
@@ -162,10 +165,10 @@ def height_S_of_inverse(x: NFElement, S: SSet) -> float:
 
 
 def height_outside_S_of_inverse(
-    x: NFElement, S: SSet, budget: int = DEFAULT_RHO_BUDGET, cache=None
+    x: NFElement, S: SSet, factors: FactorCache | None = None
 ) -> float:
     """h_{M \\ S}(1/x): finite places outside S only; needs x factored."""
-    fac = factor_element_ideal(x, budget, cache)
+    fac = factor_element_ideal(x, factors)
     field = x.field
     total = 0.0
     for P, e in fac.items():
@@ -180,14 +183,14 @@ class SupportStats:
     lam: int
 
 
-def support_lambda(x: NFElement, budget: int = DEFAULT_RHO_BUDGET, cache=None) -> SupportStats:
+def support_lambda(x: NFElement, factors: FactorCache | None = None) -> SupportStats:
     """Support sigma (primes with positive order) and its largest norm.
 
     lambda = 1 when the support is empty (units and their ratios).
     """
     if x.is_zero():
         raise ZeroDivisionError("support of 0 requested")
-    fac = factor_element_ideal(x, budget, cache)
+    fac = factor_element_ideal(x, factors)
     pos = sorted(fac.positive_part(), key=lambda P: (P.norm, P.p, P.kind))
     lam = pos[-1].norm if pos else 1
     return SupportStats(pos, lam)

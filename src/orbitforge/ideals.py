@@ -12,14 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cache import FactorCache
 from .fields import FieldSpec, NFElement, FieldError
-from .intfactor import (
-    DEFAULT_RHO_BUDGET,
-    _divide_out,
-    factorize,
-    is_prime,
-    sieve_primes,
-)
+from .intfactor import _divide_out, is_prime, sieve_primes
 
 
 def kronecker_at_prime(disc: int, p: int) -> int:
@@ -282,7 +277,10 @@ class SSet:
     def T_sum(self) -> float:
         from .constants import log_star
 
-        return sum(log_star(math.log(P.norm)) for P in self.ideals)
+        total = 0  # left to right, as in heights.height
+        for P in self.ideals:
+            total += log_star(math.log(P.norm))
+        return total
 
     def contains_ideal(self, P: PrimeIdealRec) -> bool:
         return (P.p, P.kind) in self._keys
@@ -378,14 +376,14 @@ class IdealFactorization:
 
 
 def factor_element_ideal(
-    x: NFElement, budget: int = DEFAULT_RHO_BUDGET, cache=None
+    x: NFElement, factors: FactorCache | None = None
 ) -> IdealFactorization:
     """Factor the fractional ideal of x != 0 into prime ideals.
 
     Factors |Nm| of the integral part and the denominator over Z, then
     distributes orders over the ideals above each rational prime.  The
     recombination invariant prod Nm(P)^e == |Nm(x)| is asserted.
-    Raises IncompleteFactorization when the integer budget runs out.
+    Raises IncompleteFactorization when the budget of factors runs out.
     """
     if x.is_zero():
         raise ZeroDivisionError("cannot factor the zero ideal")
@@ -393,12 +391,9 @@ def factor_element_ideal(
     y, m = x.integral_parts()
     nm = abs(y.norm().numerator)
     primes: set[int] = set()
-    if cache is not None:
-        fac_nm = cache.lookup_or_factor(nm, budget) if nm > 1 else {}
-        fac_m = cache.lookup_or_factor(m, budget) if m > 1 else {}
-    else:
-        fac_nm = factorize(nm, budget) if nm > 1 else {}
-        fac_m = factorize(m, budget) if m > 1 else {}
+    factors = factors if factors is not None else FactorCache()
+    fac_nm = factors.lookup_or_factor(nm) if nm > 1 else {}
+    fac_m = factors.lookup_or_factor(m) if m > 1 else {}
     primes.update(fac_nm)
     primes.update(fac_m)
     entries: dict[PrimeIdealRec, int] = {}

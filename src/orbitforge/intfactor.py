@@ -20,8 +20,9 @@ class IncompleteFactorization(ArithmeticError):
     """Factor budget exhausted; .partial and .cofactor describe what is known."""
 
     def __init__(self, n: int, partial: dict[int, int], cofactor: int):
-        super().__init__(
-            f"factor budget exhausted on {n}: composite cofactor {cofactor} remains"
+        super().__init__(  # sizes, not digits: n may pass the int/str digit limit
+            f"factor budget exhausted on a {n.bit_length()}-bit integer: "
+            f"a {cofactor.bit_length()}-bit composite cofactor remains"
         )
         self.n = n
         self.partial = dict(partial)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+from .cache import FactorCache
 from .constants import A3
 from .fields import FieldSpec, NFElement
 from .ideals import (
@@ -21,12 +22,7 @@ from .ideals import (
     factor_rational_prime,
     ord_ideal,
 )
-from .intfactor import (
-    DEFAULT_RHO_BUDGET,
-    multiplicative_dependence,
-    small_primes,
-    strip_primes,
-)
+from .intfactor import multiplicative_dependence, small_primes, strip_primes
 from .heights import (
     approximate_by_unit,
     height_S_of_inverse,
@@ -293,7 +289,7 @@ class ZsigmondyResult:
 
 def find_primitive_divisor(
     f: Polynomial, alpha, m: int, k: int,
-    budget: int = DEFAULT_RHO_BUDGET, cache=None, bit_cap: int = DEFAULT_BIT_CAP,
+    factors: FactorCache | None = None, bit_cap: int = DEFAULT_BIT_CAP,
 ) -> ZsigmondyResult:
     """Smallest-norm prime of f^(m)(alpha) absent from the k earlier iterates.
 
@@ -305,7 +301,7 @@ def find_primitive_divisor(
     larger.  f^(m)(alpha) is factored only when none of them answers (and
     always when the window holds a zero), so such answers add no cache
     record.  Raises IncompleteFactorization when that factorization
-    exceeds the factor budget; the caller decides whether that is a skip.
+    exceeds the budget of factors; the caller decides whether that is a skip.
     Raises ValueError when an iterate up to m passes bit_cap.
     """
     if m < 1:
@@ -321,7 +317,7 @@ def find_primitive_divisor(
     window = list(range(max(0, m - k), m))
     earlier = [orbit.iterates[j] for j in window]
     if any(x.is_zero() for x in earlier):
-        factor_element_ideal(xm, budget, cache)
+        factor_element_ideal(xm, factors)
         return ZsigmondyResult(m, k, None, window)
     trial = small_primes()
     nm = abs(xm.integral_parts()[0].norm().numerator)
@@ -331,7 +327,7 @@ def find_primitive_divisor(
     ]
     primitive = _first_primitive(below, earlier, trial[-1])
     if primitive is None:
-        fac_m = factor_element_ideal(xm, budget, cache)
+        fac_m = factor_element_ideal(xm, factors)
         primitive = _first_primitive(fac_m.positive_part(), earlier, math.inf)
     return ZsigmondyResult(m, k, primitive, window)
 
@@ -348,7 +344,7 @@ def _first_primitive(ideals, earlier, norm_cap) -> PrimeIdealRec | None:
 
 
 def build_Sk(
-    f: Polynomial, k: int, budget: int = DEFAULT_RHO_BUDGET, cache=None,
+    f: Polynomial, k: int, factors: FactorCache | None = None,
     bit_cap: int = DEFAULT_BIT_CAP,
 ) -> SSet:
     """S_k: archimedean places plus every prime dividing f^(j)(0), j <= k.
@@ -366,7 +362,7 @@ def build_Sk(
         raise ValueError(f"orbit of 0 truncated below k = {k} by the bit cap of {bit_cap} bits")
     ideals = []
     for x in orbit.iterates[1:]:
-        ideals.extend(factor_element_ideal(x, budget, cache).positive_part())
+        ideals.extend(factor_element_ideal(x, factors).positive_part())
     return SSet(f.field, ideals)
 
 

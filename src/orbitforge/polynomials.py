@@ -15,8 +15,9 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+from .cache import FactorCache
 from .fields import FieldSpec, NFElement, make_field
-from .intfactor import DEFAULT_RHO_BUDGET, factorize, is_prime
+from .intfactor import is_prime
 
 
 class Polynomial:
@@ -274,10 +275,11 @@ def splitting_degree(f: Polynomial) -> int | None:
     return None
 
 
-def splitting_field_disc(f: Polynomial, budget: int = DEFAULT_RHO_BUDGET) -> int | None:
+def splitting_field_disc(f: Polynomial, factors: FactorCache | None = None) -> int | None:
     """For splitting degree 2 over Q: squarefree m with L = Q(sqrt(m)).
 
-    Factoring the discriminant raises IncompleteFactorization past budget.
+    The discriminant is factored through factors (a fresh FactorCache when
+    None), and IncompleteFactorization is raised past its budget.
     """
     if f.field.degree != 1:
         return None
@@ -288,7 +290,8 @@ def splitting_field_disc(f: Polynomial, budget: int = DEFAULT_RHO_BUDGET) -> int
     delta = (c1 * c1 - 4 * c0 * c2).a
     m = delta.numerator * delta.denominator
     sf = 1
-    for p, e in factorize(abs(m), budget).items():
+    factors = factors if factors is not None else FactorCache()
+    for p, e in factors.lookup_or_factor(abs(m)).items():
         if e % 2:
             sf *= p
     return sf if m > 0 else -sf

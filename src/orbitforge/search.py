@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
+from .cache import FactorCache
 from .constants import (
     CParams,
     SplittingData,
@@ -262,7 +263,7 @@ def _scan_alpha(orbit: OrbitRecord, S: SSet, c_norms: tuple[int, ...]):
 
 def _bound_annotation(cfg: SearchConfig) -> list[dict]:
     try:
-        sp = cfg.splitting or resolve_splitting(cfg.f, budget=cfg.factor_budget)
+        sp = cfg.splitting or resolve_splitting(cfg.f, FactorCache(budget=cfg.factor_budget))
         rep = northcott_bound(cfg.f, cfg.S, cfg.c_params, sp, zero_periodic=False)
         return rep.rows()
     except Exception as exc:  # annotation only: report the gap, never die
@@ -351,7 +352,7 @@ def verify_spart_empirical(cfg: SearchConfig, sample_count: int) -> CampaignRepo
         summary["max_rho"] = best[0]
         summary["argmax_alpha"] = best[1].as_string()
         summary["eta_empirical"] = eta_emp
-        sp = cfg.splitting or resolve_splitting(cfg.f, budget=cfg.factor_budget)
+        sp = cfg.splitting or resolve_splitting(cfg.f, FactorCache(budget=cfg.factor_budget))
         e1 = eta1_inverse(cfg.f, cfg.S, CParams(), sp)
         summary["eta1_formula"] = 1.0 / e1
         if cfg.S.t > 0 and sp.class_number_L is not None:
@@ -378,31 +379,34 @@ def lambda_growth_report(
     n: int,
     m_max: int,
     c4: float = 1.0,
-    budget: int = DEFAULT_RHO_BUDGET,
     bit_cap: int = DEFAULT_BIT_CAP,
-    cache=None,
+    factors: FactorCache | None = None,
 ) -> list[dict]:
     """Per m > n: the largest support norm of f^(m)/f^(n) against the
     growth shape c4 * L log*L / log*log*L; factorization-failure rows skip."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if m_max <= n:
+        raise ValueError(f"the lambda report needs m > n (m = {m_max}, n = {n})")
     field = f.field
     if not isinstance(alpha, NFElement):
         alpha = field.element(alpha)
     orbit = iterate_orbit(f, alpha, m_max, bit_cap)
     rows = []
-    xn = orbit.iterates[n] if n <= orbit.length else None
-    if xn is None or xn.is_zero():
-        raise ZeroDivisionError("f^(n)(alpha) unavailable or zero")
-    h_n = height_value(xn, budget, cache)
+    if n > orbit.length:
+        raise ValueError(f"orbit truncated below n = {n} by the bit cap of {bit_cap} bits")
+    xn = orbit.iterates[n]
+    if xn.is_zero():
+        raise ZeroDivisionError("f^(n)(alpha) is zero")
+    h_n = height_value(xn, factors)
     for m in range(n + 1, orbit.length + 1):
         xm = orbit.iterates[m]
         if xm.is_zero():
             rows.append({"type": "skip", "m": m, "reason": "zero iterate"})
             continue
         try:
-            lam = support_lambda(xm / xn, budget, cache).lam
-            h_m = height_value(xm, budget, cache)
+            lam = support_lambda(xm / xn, factors).lam
+            h_m = height_value(xm, factors)
         except IncompleteFactorization:
             rows.append({"type": "skip", "m": m, "reason": "factor-budget"})
             continue

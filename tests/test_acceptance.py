@@ -14,6 +14,7 @@ import pytest
 import sympy
 
 import orbitforge as of
+from orbitforge.cache import FactorCache
 from orbitforge.constants import A1, A2, A3, CParams, SplittingData, voutier_delta
 from orbitforge.fields import make_field
 from orbitforge.heights import (
@@ -332,7 +333,7 @@ def test_criterion_09_primitive_divisors():
     factored, skipped = {}, []
     for m in range(2, 11):
         try:
-            res = find_primitive_divisor(f1, 1, m, m, budget=600_000)
+            res = find_primitive_divisor(f1, 1, m, m, factors=FactorCache(budget=600_000))
         except IncompleteFactorization:
             skipped.append(m)
             continue

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from orbitforge.cli import main, run_command, write_report
 from orbitforge.config import ConfigError, load_config, load_config_text, parse_s_selectors
 from orbitforge.constants import SplittingData
 from orbitforge.fields import make_field
-from orbitforge.intfactor import DEFAULT_RHO_BUDGET, factorize, is_prime
+from orbitforge.heights import height
+from orbitforge.ideals import factor_element_ideal
+from orbitforge.intfactor import DEFAULT_RHO_BUDGET, IncompleteFactorization, factorize, is_prime
 from orbitforge.search import CampaignReport
 
 MINIMAL = """
@@ -450,9 +453,34 @@ def _spy_factorize(monkeypatch):
         calls.append((n, budget))
         return factorize(n, budget)
 
-    for module in ("cache", "fields", "heights", "ideals", "polynomials"):
+    for module in ("cache", "fields"):
         monkeypatch.setattr(f"orbitforge.{module}.factorize", spy)
     return calls
+
+
+def test_an_empty_factor_cache_passed_in_is_the_one_used():
+    # an empty FactorCache is falsy: `factors or FactorCache()` would swap it
+    # for a cache of the default budget, which factors 1000003 * 1000033
+    Q = make_field("rational")
+    factors = FactorCache(budget=10)
+    for n in (PQ, 1000003 * 1000033):
+        for compute in (factor_element_ideal, height):
+            with pytest.raises(IncompleteFactorization):
+                compute(Q.element(Fraction(1, n)), factors)
+    assert len(factors) == 0
+    assert height(Q.element(Fraction(1, 6)), factors).total == pytest.approx(math.log(6))
+    assert len(factors) == 1
+
+
+def test_cli_constants_factors_the_splitting_field_discriminant_through_the_cache(
+    tmp_path, monkeypatch
+):
+    # (x - 1)(x^2 - 2) splits over Q(sqrt 2): its discriminant 8 is the one factorization
+    cache_path = tmp_path / "factors.txt"
+    monkeypatch.setenv("ORBITFORGE_CACHE", str(cache_path))
+    cfgp = _write_cfg(tmp_path, _ini("2,-2,-1,1", ""))
+    assert main(["constants", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    assert cache_path.read_text().splitlines()[1:] == ["8 = 2^3"]
 
 
 def test_cli_verify_spart_witness_factors_nothing(tmp_path, monkeypatch):
@@ -555,6 +583,21 @@ def test_cli_alpha_longer_than_the_bit_cap_allows_is_refused(tmp_path, capsys):
 def test_cli_negative_index_is_refused(command, ini, message, tmp_path, capsys):
     cfgp = _write_cfg(tmp_path, ini)
     assert main([command, "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "caps,run,message",
+    [
+        ("bit_cap = 64", "alpha = 2\nn = 10\nm = 12", "truncated below n = 10 by the bit cap of 64 bits"),
+        ("", "alpha = 2\nn = 4\nm = 3", "needs m > n (m = 3, n = 4)"),
+        ("", "alpha = 2\nn = 3\nm = 3", "needs m > n (m = 3, n = 3)"),
+    ],
+    ids=["x_n-past-the-bit-cap", "n-above-m", "n-equal-to-m"],
+)
+def test_cli_lambda_report_names_the_cap_or_the_indices_it_refuses(caps, run, message, tmp_path, capsys):
+    cfgp = _write_cfg(tmp_path, _ini("1,0,1", "", caps, run))
+    assert main(["lambda-report", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
     assert message in capsys.readouterr().err
 
 

@@ -35,6 +35,15 @@ def rational_height_oracle(fr: Fraction) -> float:
     return math.log(max(abs(fr.numerator), fr.denominator))
 
 
+def test_float_sums_do_not_depend_on_the_python_version():
+    # the values as CPython 3.11 adds them, left to right; sum() of floats
+    # rounds both differently from Python 3.12 on
+    assert height_value(Q.element(Fraction(-35, 12))) == 3.555348061489414
+    first_ten = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    S = SSet(Q, [P for p in first_ten for P in factor_rational_prime(Q, p)])
+    assert S.T_sum == 10.478226628504814
+
+
 def test_local_abs_examples():
     two = factor_rational_prime(Q, 2)[0]
     three = factor_rational_prime(Q, 3)[0]

@@ -156,6 +156,21 @@ def test_budget_exhaustion_explicit():
     assert err.cofactor == a * b
 
 
+def test_budget_exhaustion_names_sizes_at_the_default_int_str_limit():
+    # 3^10000 has 4,772 digits, past Python's default limit of 4,300: the
+    # message names bit lengths, so building it cannot hit that limit
+    assert getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
+    pq = 1000000000039 * 2000000000003  # two 40-bit primes
+    with pytest.raises(IncompleteFactorization) as ei:
+        factorize(pq * 3**10000, 10)
+    err = ei.value
+    assert (err.n, err.partial, err.cofactor) == (pq * 3**10000, {3: 10000}, pq)
+    assert str(err) == (
+        f"factor budget exhausted on a {(pq * 3**10000).bit_length()}-bit integer: "
+        "a 81-bit composite cofactor remains"
+    )
+
+
 def _rho_with_squarings(n, budget):
     """_brent_rho(n, budget) and the modular squarings it ran, counted by
     tracing the lines of the form `y = (y * y + c) % n`."""

@@ -815,7 +815,7 @@ def test_spart_witness_factors_nothing(monkeypatch):
         _count_calls(monkeypatch, target)
         for target in ("orbitforge.orbits.factor_element_ideal",
                        "orbitforge.heights.factor_element_ideal",
-                       "orbitforge.heights.factorize")
+                       "orbitforge.cache.factorize")
     ]
     witnesses = []
     for field, S, alpha in cases:

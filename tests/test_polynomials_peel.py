@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitforge.cache import FactorCache
 from orbitforge.cli import run_command
 from orbitforge.config import load_config_text
 from orbitforge.constants import resolve_splitting
@@ -239,9 +240,9 @@ def test_zero_and_constant_polynomials():
 def test_splitting_field_disc_honours_the_factor_budget():
     f = Polynomial(Q, [-(2**61 - 1) * (2**89 - 1), 0, 1])
     with pytest.raises(IncompleteFactorization):
-        splitting_field_disc(f, 1000)
+        splitting_field_disc(f, FactorCache(budget=1000))
     with pytest.raises(IncompleteFactorization):
-        resolve_splitting(f, budget=1000)
+        resolve_splitting(f, FactorCache(budget=1000))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def counts(monkeypatch):
 )
 def test_command_takes_one_gcd_and_one_peel(command, ini, counts, tmp_path):
     cfg = load_config_text(ini)
-    assert run_command(command, cfg, str(tmp_path), None) == 0
+    assert run_command(command, cfg, str(tmp_path), FactorCache(budget=cfg.factor_budget)) == 0
     assert counts == {"gcd": 1, "peel": 1}
 
 
