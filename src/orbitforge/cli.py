@@ -85,7 +85,11 @@ def _need(cfg: RunConfig, key: str) -> str:
 
 
 def _alpha(cfg: RunConfig):
-    return cfg.field.from_string(_need(cfg, "alpha"))
+    text = _need(cfg, "alpha")
+    try:
+        return cfg.field.from_string(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"run.alpha does not parse ({type(exc).__name__}: {exc})") from None
 
 
 def _provenance_report(cfg: RunConfig, kind: str, rows) -> CampaignReport:
@@ -277,21 +281,22 @@ def run_command(name: str, cfg: RunConfig, out_dir: str, factors: FactorCache) -
     return 2 if report.partial else 0
 
 
+# built once per process: parse_args leaves no state on it
+_PARSER = argparse.ArgumentParser(
+    prog="orbitforge",
+    description="heights, effective bound shapes and dependence search in polynomial orbits",
+)
+_PARSER.add_argument("command", choices=_HANDLERS)
+_PARSER.add_argument("--config", required=True, help="INI run configuration")
+_PARSER.add_argument("--out", default=None, help="output directory (default: config [output] dir or .)")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="orbitforge",
-        description="heights, effective bound shapes and dependence search in polynomial orbits",
-    )
-    ap.add_argument("command", choices=_HANDLERS)
-    ap.add_argument("--config", required=True, help="INI run configuration")
-    ap.add_argument("--out", default=None, help="output directory (default: config [output] dir or .)")
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = args.out or cfg.output_dir or "."
         factors = FactorCache(os.environ.get(ENV_CACHE_PATH), cfg.factor_budget)
-        code = run_command(args.command, cfg, out_dir, factors)
-        return code
+        return run_command(args.command, cfg, args.out or cfg.output_dir or ".", factors)
     except (ConfigError, FieldError, ValueError, ArithmeticError, OSError) as exc:
         print(f"orbitforge: error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,7 @@ class RunConfig(SearchConfig):
     output_dir: str | None = None
 
     def to_ini(self) -> str:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         cp["field"] = {"kind": self.field.kind}
         if self.field.kind == "quadratic":
             cp["field"]["d"] = str(self.field.D)
@@ -131,7 +131,7 @@ def _int_at_least(section: str, key: str, text, low: int = 0) -> int:
 
 
 def load_config_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

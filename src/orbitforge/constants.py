@@ -14,7 +14,7 @@ carry a flag whenever the substitution changed anything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, field as dc_field
 
 from .cache import FactorCache
 from .fields import FieldSpec, make_field
@@ -96,7 +96,7 @@ class CParams:
     c7: float = 1.0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a float, so a shallow copy is a full one
 
 
 @dataclass

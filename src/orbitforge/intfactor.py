@@ -8,10 +8,10 @@ raised and carries the partial factorization plus the cofactor.
 
 from __future__ import annotations
 
+import functools
 import math
 
 _TRIAL_BOUND = 10_000
-_small_primes: list[int] | None = None
 
 DEFAULT_RHO_BUDGET = 600_000
 
@@ -41,11 +41,26 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, fl in enumerate(sieve) if fl]
 
 
+@functools.cache
 def small_primes() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = sieve_primes(_TRIAL_BOUND)
-    return _small_primes
+    return sieve_primes(_TRIAL_BOUND)
+
+
+@functools.cache
+def _small_primorial() -> int:
+    return math.prod(small_primes())
+
+
+def small_prime_divisors(n: int) -> list[int]:
+    """The primes <= the trial bound that divide n, ascending; the scan ends at gcd 1."""
+    g, found = math.gcd(n, _small_primorial()), []
+    for p in small_primes():
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            found.append(p)
+    return found
 
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -22,7 +22,7 @@ from .ideals import (
     factor_rational_prime,
     ord_ideal,
 )
-from .intfactor import multiplicative_dependence, small_primes, strip_primes
+from .intfactor import multiplicative_dependence, small_prime_divisors, small_primes, strip_primes
 from .heights import (
     approximate_by_unit,
     height_S_of_inverse,
@@ -319,13 +319,12 @@ def find_primitive_divisor(
     if any(x.is_zero() for x in earlier):
         factor_element_ideal(xm, factors)
         return ZsigmondyResult(m, k, None, window)
-    trial = small_primes()
     nm = abs(xm.integral_parts()[0].norm().numerator)
     below = [
-        P for p in trial if nm % p == 0
+        P for p in small_prime_divisors(nm)
         for P in factor_rational_prime(xm.field, p) if ord_ideal(xm, P) > 0
     ]
-    primitive = _first_primitive(below, earlier, trial[-1])
+    primitive = _first_primitive(below, earlier, small_primes()[-1])
     if primitive is None:
         fac_m = factor_element_ideal(xm, factors)
         primitive = _first_primitive(fac_m.positive_part(), earlier, math.inf)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -51,7 +52,9 @@ def test_config_round_trip():
         "coeffs = 3,-1,0,1\n",
         "coeffs = 3,-1,0,1\nsplitting_degree = 6\nclass_number_l = 1\n",
     )
-    for text in (MINIMAL + rest, with_splitting + rest):
+    # values are literal: a % in the output dir is no interpolation
+    with_percent_dir = MINIMAL + rest + "\n[output]\ndir = res%(x)s/100%\n"
+    for text in (MINIMAL + rest, with_percent_dir, with_splitting + rest):
         cfg = load_config_text(text)
         cfg2 = load_config_text(cfg.to_ini())
         assert cfg2.to_ini() == cfg.to_ini()
@@ -60,6 +63,7 @@ def test_config_round_trip():
         assert cfg2.S.ideal_selectors() == cfg.S.ideal_selectors()
         assert cfg2.splitting == cfg.splitting
     assert cfg.splitting == SplittingData(6, 1)
+    assert load_config_text(with_percent_dir).output_dir == "res%(x)s/100%"
 
 
 def test_config_rejections():
@@ -563,6 +567,56 @@ def test_cli_primitive_divisor_below_the_trial_bound_needs_no_factor_budget(tmp_
     assert main(["primitive-divisors", "--config", cfgp, "--out", out]) == 0
     assert [r["norm"] for r in _rows(out, "primitive-divisors")[1:]] == [293]
     assert cache_path.read_text().splitlines()[1:] == []
+
+
+@pytest.mark.parametrize(
+    "caps,run,message",
+    [
+        ("", "alpha = 1%\nm = 1", "run.alpha does not parse (ValueError: "),
+        ("", "alpha = 1/0\nm = 1", "run.alpha does not parse (ZeroDivisionError: "),
+        ("bit_cap = 64%(x)s", "alpha = 1\nm = 1", "caps.bit_cap must be an integer, got '64%(x)s'"),
+    ],
+    ids=["percent-in-alpha", "zero-denominator-alpha", "interpolation-syntax-in-a-cap"],
+)
+def test_cli_value_that_does_not_parse_is_an_error_naming_its_key(caps, run, message, tmp_path, capsys):
+    # values are literal: a % is never interpolated, so it reaches the key's own check
+    cfgp = _write_cfg(tmp_path, _ini("1,0,1", "", caps, run))
+    assert main(["orbit", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("orbitforge: error: ") and message in err
+
+
+def test_cli_output_dir_with_percent_is_taken_literally(tmp_path):
+    out = tmp_path / "res%(x)s"
+    cfgp = _write_cfg(tmp_path, _ini("3,-1,0,1", "2,3,5", run="alpha = 12") + f"\n[output]\ndir = {out}\n")
+    assert main(["heights", "--config", cfgp]) == 0
+    assert _rows(str(out), "heights")[1]["type"] == "height"
+
+
+def test_cli_builds_no_argument_parser_per_command(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfgp = _write_cfg(tmp_path, _ini("3,-1,0,1", "2,3,5", run="alpha = 12"))
+    for i in range(3):
+        assert main(["heights", "--config", cfgp, "--out", str(tmp_path / f"o{i}")]) == 0
+    assert built == []
+
+
+def test_cli_unknown_command_exits_2_on_every_call(tmp_path, capsys):
+    # the parser is shared by every call: a refused command leaves nothing on it
+    cfgp = _write_cfg(tmp_path, _ini("3,-1,0,1", "2,3,5", run="alpha = 12"))
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command", "--config", cfgp])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    assert main(["heights", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_cli_alpha_longer_than_the_bit_cap_allows_is_refused(tmp_path, capsys):

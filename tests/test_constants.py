@@ -1,6 +1,8 @@
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitforge.constants import (
     A1,
@@ -199,3 +201,12 @@ def test_splitting_transfer_inequalities():
         rep = splitting_transfer_params(Q, L, S)
         assert rep["D"] == 2
         assert rep["holds_d"] and rep["holds_t"] and rep["holds_s"] and rep["holds_P"]
+
+
+@given(st.lists(st.floats(), min_size=7, max_size=7))
+def test_c_params_as_dict_is_a_fresh_asdict(values):
+    c = CParams(*values)
+    d = c.as_dict()
+    assert repr(d) == repr(dataclasses.asdict(c))  # same keys, order and values, nan included
+    d["c1"] = "changed"
+    assert c.c1 is values[0] and c.as_dict()["c1"] is values[0]

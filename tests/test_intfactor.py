@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import re
 import sys
@@ -17,6 +18,8 @@ from orbitforge.intfactor import (
     is_prime,
     multiplicative_dependence,
     perfect_power_base,
+    small_prime_divisors,
+    small_primes,
     strip_primes,
 )
 
@@ -234,3 +237,11 @@ def test_multiplicative_dependence():
     assert multiplicative_dependence(3**37, 3) == (1, 37)
     assert multiplicative_dependence(7**2, 7**106) == (53, 1)
     assert multiplicative_dependence(3**37 * 2, 3) is None
+
+
+@given(st.lists(st.sampled_from(small_primes()), max_size=12),
+       st.integers(min_value=-(2**128), max_value=2**128))
+def test_small_prime_divisors_match_the_trial_scan(primes, cofactor):
+    # the gcd route finds the same primes, in the same order, as testing each one
+    n = math.prod(primes) * cofactor
+    assert small_prime_divisors(n) == [p for p in small_primes() if n % p == 0]
