@@ -14,7 +14,7 @@ import os
 import sys
 
 from .cache import ENV_CACHE_PATH, FactorCache, int_str_limit
-from .config import ConfigError, RunConfig, load_config
+from .config import ECHO_LIMIT, ConfigError, RunConfig, load_config, shown
 from .constants import (
     A1,
     A2,
@@ -42,10 +42,6 @@ from .search import (
     search_sunit_orbit_values,
     verify_spart_empirical,
 )
-
-
-def _jsonable(v):
-    return v if v is None or isinstance(v, (int, float, str, bool)) else str(v)
 
 
 def _csv_cell(v):
@@ -89,13 +85,9 @@ def _alpha(cfg: RunConfig):
     try:
         return cfg.field.from_string(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"run.alpha does not parse ({type(exc).__name__}: {exc})") from None
-
-
-def _provenance_report(cfg: RunConfig, kind: str, rows) -> CampaignReport:
-    prov = cfg.provenance()
-    prov.update({f"run_{k}": _jsonable(v) for k, v in sorted(cfg.run_options.items())})
-    return CampaignReport(kind, prov, rows)
+        # a long reason may quote the whole value: name its length instead
+        why = f": {exc}" if len(str(exc)) <= 2 * ECHO_LIMIT else f" on {shown(text)}"
+        raise ConfigError(f"run.alpha does not parse ({type(exc).__name__}{why})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +118,7 @@ def _cmd_heights(cfg: RunConfig, factors: FactorCache):
                 "lambda": st.lam,
             }
         )
-    return _provenance_report(cfg, "heights", rows)
+    return CampaignReport("heights", cfg.provenance(), rows)
 
 
 def _cmd_constants(cfg: RunConfig, factors: FactorCache):
@@ -164,7 +156,7 @@ def _cmd_constants(cfg: RunConfig, factors: FactorCache):
                 "h_beta": h_beta,
             }
         )
-    return _provenance_report(cfg, "constants", rows)
+    return CampaignReport("constants", cfg.provenance(), rows)
 
 
 def _cmd_orbit(cfg: RunConfig, factors: FactorCache):
@@ -183,7 +175,7 @@ def _cmd_orbit(cfg: RunConfig, factors: FactorCache):
         )
     if orb.truncated:
         rows.append({"type": "skip", "m": orb.length + 1, "reason": "bit-cap"})
-    return _provenance_report(cfg, "orbit", rows)
+    return CampaignReport("orbit", cfg.provenance(), rows)
 
 
 def _cmd_witness(cfg: RunConfig, factors: FactorCache):
@@ -194,7 +186,7 @@ def _cmd_witness(cfg: RunConfig, factors: FactorCache):
     if orbit.truncated:
         rows = [{"type": "skip", "m": m, "n": n,
                  "reason": f"bit-cap at iterate {orbit.length + 1}"}]
-        return _provenance_report(cfg, "witness", rows)
+        return CampaignReport("witness", cfg.provenance(), rows)
     w = check_s_integer_ratio(orbit, m, n, cfg.S)
     rows = [w.row() if w else {"type": "no_witness", "kind": "s_integer_ratio", "m": m, "n": n}]
     if n >= 1:
@@ -202,7 +194,7 @@ def _cmd_witness(cfg: RunConfig, factors: FactorCache):
         rows.append(
             w2.row() if w2 else {"type": "no_witness", "kind": "power_relation", "m": m, "n": n}
         )
-    return _provenance_report(cfg, "witness", rows)
+    return CampaignReport("witness", cfg.provenance(), rows)
 
 
 def _cmd_search_dependence(cfg: RunConfig, factors: FactorCache):
@@ -233,7 +225,7 @@ def _cmd_primitive_divisors(cfg: RunConfig, factors: FactorCache):
         )
     except IncompleteFactorization:
         rows.append({"type": "skip", "m": m, "reason": "factor-budget"})
-    return _provenance_report(cfg, "primitive-divisors", rows)
+    return CampaignReport("primitive-divisors", cfg.provenance(), rows)
 
 
 def _cmd_lambda_report(cfg: RunConfig, factors: FactorCache):
@@ -241,7 +233,7 @@ def _cmd_lambda_report(cfg: RunConfig, factors: FactorCache):
     n = int(cfg.run_options.get("n", 0))
     m_max = int(cfg.run_options.get("m", cfg.m_max))
     rows = lambda_growth_report(cfg.f, x, n, m_max, cfg.c_params.c4, cfg.bit_cap, factors)
-    return _provenance_report(cfg, "lambda-report", rows)
+    return CampaignReport("lambda-report", cfg.provenance(), rows)
 
 
 def _cmd_verify_spart(cfg: RunConfig, factors: FactorCache):
@@ -252,7 +244,7 @@ def _cmd_verify_spart(cfg: RunConfig, factors: FactorCache):
     n_samples = int(cfg.run_options.get("sample_count", 0))
     if n_samples > 0:
         rows.extend(verify_spart_empirical(cfg, n_samples).rows)
-    return _provenance_report(cfg, "verify-spart", rows)
+    return CampaignReport("verify-spart", cfg.provenance(), rows)
 
 
 _HANDLERS = {

@@ -37,6 +37,14 @@ _ALLOWED = {
     "output": {"dir"},
 }
 _RUN_INTS = {"m", "n", "k", "n_max", "sample_count"}
+ECHO_LIMIT = 80
+
+
+def shown(text) -> str:
+    """An error message's view of a value: repr(text), or only its length
+    when it is longer than ECHO_LIMIT characters."""
+    text = str(text)
+    return repr(text) if len(text) <= ECHO_LIMIT else f"a value of {len(text)} characters"
 
 
 @dataclass
@@ -45,6 +53,12 @@ class RunConfig(SearchConfig):
 
     run_options: dict = dc_field(default_factory=dict)
     output_dir: str | None = None
+
+    def provenance(self) -> dict:
+        """SearchConfig.provenance plus each [run] key, as run_<key>."""
+        prov = super().provenance()
+        prov.update({f"run_{k}": str(v) for k, v in sorted(self.run_options.items())})
+        return prov
 
     def to_ini(self) -> str:
         cp = configparser.ConfigParser(interpolation=None)
@@ -89,7 +103,7 @@ def parse_s_selectors(field: FieldSpec, text: str) -> SSet:
         try:
             p = int(tok)
         except ValueError as exc:
-            raise ConfigError(f"bad S selector {raw!r}") from exc
+            raise ConfigError(f"bad S selector {shown(raw)}") from exc
         above = factor_rational_prime(field, p)
         if tag is None:
             ideals.extend(above)
@@ -120,7 +134,7 @@ def _parsed(section: str, key: str, text, kind=int):
         return kind(text)
     except (ValueError, ZeroDivisionError):
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{section}.{key} must be {what}, got {text!r}") from None
+        raise ConfigError(f"{section}.{key} must be {what}, got {shown(text)}") from None
 
 
 def _int_at_least(section: str, key: str, text, low: int = 0) -> int:
@@ -144,7 +158,7 @@ def load_config_text(text: str) -> RunConfig:
     fs = _parse_section(cp, "field")
     kind = fs.get("kind", "rational")
     if kind not in ("rational", "quadratic"):
-        raise ConfigError(f"field.kind must be rational|quadratic, got {kind!r}")
+        raise ConfigError(f"field.kind must be rational|quadratic, got {shown(kind)}")
     D = None
     if kind == "quadratic":
         if "d" not in fs:

@@ -3,6 +3,8 @@
 A field is described by a FieldSpec; elements are NFElement values with
 exact Fraction coordinates over the integral basis {1, w}, where
 w = sqrt(D) for D = 2, 3 mod 4 and w = (1 + sqrt(D))/2 for D = 1 mod 4.
+Only this module makes that choice; the others read FieldSpec's pair
+(wsq_const, wsq_lin) = (c, l), w^2 = c + l*w, or call FieldSpec.from_sqrtd.
 Fundamental units come from the continued fraction of sqrt(D) (with a
 cube-root refinement for the half-integral case), class numbers from
 counting reduced binary quadratic forms of the field discriminant.
@@ -90,7 +92,7 @@ class NFElement:
             return NFElement(f, a * c)
         # w^2 = wsq_const + wsq_lin * w
         bd = b * d
-        return NFElement(f, a * c + bd * f._wsq_const, a * d + b * c + bd * f._wsq_lin)
+        return NFElement(f, a * c + bd * f.wsq_const, a * d + b * c + bd * f.wsq_lin)
 
     __rmul__ = __mul__
 
@@ -133,7 +135,7 @@ class NFElement:
         f = self.field
         if f.degree == 1:
             return self
-        if f._omega_half:  # w -> 1 - w
+        if f.wsq_lin:  # w -> 1 - w
             return NFElement(f, self.a + self.b, -self.b)
         return NFElement(f, self.a, -self.b)
 
@@ -143,22 +145,22 @@ class NFElement:
         if f.degree == 1:
             return self.a
         a, b = self.a, self.b
-        if f._omega_half:
-            return a * a + a * b - b * b * Fraction(f.D - 1, 4)
+        if f.wsq_lin:
+            return a * a + a * b - b * b * f.wsq_const
         return a * a - f.D * b * b
 
     def trace(self) -> Fraction:
         f = self.field
         if f.degree == 1:
             return self.a
-        return 2 * self.a + (self.b if f._omega_half else 0)
+        return 2 * self.a + f.wsq_lin * self.b
 
     def sqrtd_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates (u, v) with self = u + v*sqrt(D)."""
+        """Coordinates (u, v) with self = u + v*sqrt(D); FieldSpec.from_sqrtd inverts it."""
         f = self.field
         if f.degree == 1:
             return self.a, Fraction(0)
-        if f._omega_half:
+        if f.wsq_lin:
             return self.a + self.b / 2, self.b / 2
         return self.a, self.b
 
@@ -216,6 +218,11 @@ class NFElement:
 class FieldSpec:
     """Q or a quadratic field Q(sqrt(D)), with its classical invariants.
 
+    The integral basis {1, w} is decided here alone and published as the pair
+    (wsq_const, wsq_lin) = (c, l), w^2 = c + l*w: (0, 0) over Q, ((D - 1)/4, 1)
+    with w = (1 + sqrt(D))/2 for D = 1 mod 4, else (D, 0) with w = sqrt(D).
+    from_sqrtd(u, v) is u + v*sqrt(D) in that basis.
+
     Instances are built by make_field and treated as immutable afterwards;
     cached splitting data is filled in lazily and is safe to share across
     concurrent readers once construction is done.
@@ -227,26 +234,17 @@ class FieldSpec:
         self.degree = 1 if kind == "rational" else 2
         self._splitting_cache: dict[int, tuple] = {}
         if kind == "rational":
-            self.discriminant = 1
-            self._omega_half = False
-            self._wsq_const = 0
-            self._wsq_lin = 0
-        else:
-            assert D is not None
-            self._omega_half = D % 4 == 1
-            self.discriminant = D if self._omega_half else 4 * D
-            if self._omega_half:
-                self._wsq_const = (D - 1) // 4
-                self._wsq_lin = 1
-            else:
-                self._wsq_const = D
-                self._wsq_lin = 0
-        # populated by make_field:
+            self.discriminant, self.wsq_const, self.wsq_lin = 1, 0, 0
+        elif D % 4 == 1:  # w = (1 + sqrt(D))/2
+            self.discriminant, self.wsq_const, self.wsq_lin = D, (D - 1) // 4, 1
+        else:  # w = sqrt(D)
+            self.discriminant, self.wsq_const, self.wsq_lin = 4 * D, D, 0
+        # populated by make_field where they differ:
         self.unit_rank = 0
         self.fundamental_unit: NFElement | None = None
         self.torsion_order = 2
         self.class_number = 1
-        self.regulator = 1.0
+        self.regulator = 1.0  # the convention at unit rank 0
         self.delta = 0.0
 
     # -- constructors ----------------------------------------------------
@@ -264,6 +262,10 @@ class FieldSpec:
         if self.degree == 1:
             raise FieldError("Q has no quadratic generator")
         return NFElement(self, 0, 1)
+
+    def from_sqrtd(self, u, v) -> NFElement:
+        """The element u + v*sqrt(D): the inverse of NFElement.sqrtd_coords."""
+        return NFElement(self, u - self.wsq_lin * v, (1 + self.wsq_lin) * v)
 
     def from_string(self, s: str) -> NFElement:
         parts = [p.strip() for p in s.split(",")]
@@ -349,25 +351,13 @@ def _fundamental_unit(field: FieldSpec) -> tuple[NFElement, int, float]:
     """Fundamental unit > 1 of the maximal order, its norm, and the regulator."""
     D = field.D
     X, Y, N = _pell_fundamental(D)
-    half = None
-    if field._omega_half:
-        half = _half_unit_refinement(D, X, Y, N)
-    if half is not None:
-        x, y, n = half
-        # coords over {1, w}: (x + y*sqrt(D))/2 = (x - y)/2 + y*w
-        eps = field.element(Fraction(x - y, 2), y)
-        trace = x
-        norm = n
-    else:
-        if field._omega_half:
-            eps = field.element(X - Y, 2 * Y)  # X + Y*sqrt(D) = (X-Y) + 2Y*w
-        else:
-            eps = field.element(X, Y)
-        trace = 2 * X
-        norm = N
+    # eps = (t + y*sqrt(D))/2: the half-integral cube root of X + Y*sqrt(D)
+    # when there is one, else X + Y*sqrt(D) itself
+    half = _half_unit_refinement(D, X, Y, N) if field.wsq_lin else None
+    t, y, norm = half or (2 * X, 2 * Y, N)
+    eps = field.from_sqrtd(Fraction(t, 2), Fraction(y, 2))
     # regulator = log of the larger archimedean absolute value; eps > 1 and
-    # |conj(eps)| = 1/eps, so eps = (trace + sqrt(trace^2 - 4*norm))/2.
-    t = trace
+    # |conj(eps)| = 1/eps, so eps = (t + sqrt(t^2 - 4*norm))/2.
     if t > 10**150:
         reg = math.log(t)  # correction term is below double precision
     else:
@@ -473,10 +463,6 @@ def make_field(kind: str, D: int | None = None) -> FieldSpec:
     """
     if kind == "rational":
         f = FieldSpec("rational", None)
-        f.unit_rank = 0
-        f.torsion_order = 2
-        f.class_number = 1
-        f.regulator = 1.0
         f.delta = math.log(2)
         return f
     if kind != "quadratic":
@@ -494,14 +480,9 @@ def make_field(kind: str, D: int | None = None) -> FieldSpec:
     f.delta = math.log(2) / 2
     if D > 0:
         f.unit_rank = 1
-        f.torsion_order = 2
-        eps, norm, reg = _fundamental_unit(f)
-        f.fundamental_unit = eps
-        f.regulator = reg
+        f.fundamental_unit, norm, f.regulator = _fundamental_unit(f)
         f.class_number = _class_number_real(f.discriminant, norm)
     else:
-        f.unit_rank = 0
-        f.regulator = 1.0  # convention at unit rank 0
         f.torsion_order = 4 if D == -1 else 6 if D == -3 else 2
         f.class_number = _class_number_imaginary(f.discriminant)
     return f

@@ -87,13 +87,6 @@ def factor_rational_prime(field: FieldSpec, p: int) -> list[PrimeIdealRec]:
     return out
 
 
-def _minpoly_coeffs(field: FieldSpec) -> tuple[int, int]:
-    """(t0, t1) with w^2 + t1*w + t0 = 0 over Z."""
-    if field._omega_half:
-        return -(field.D - 1) // 4, -1
-    return -field.D, 0
-
-
 def _sqrt_mod(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p (Tonelli-Shanks, Cohen 1.5.1)."""
     if a % p == 0:
@@ -114,7 +107,7 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 def _minpoly_roots_mod(field: FieldSpec, p: int) -> list[int]:
     """The distinct roots of the minimal polynomial of w mod p, ascending."""
-    t0, t1 = _minpoly_coeffs(field)
+    t0, t1 = -field.wsq_const, -field.wsq_lin  # w^2 + t1*w + t0 = 0
     if p == 2:
         return [c for c in (0, 1) if (c * c + t1 * c + t0) % 2 == 0]
     s = _sqrt_mod(t1 * t1 - 4 * t0, p)
@@ -127,7 +120,7 @@ def _hensel_lift(field: FieldSpec, P: PrimeIdealRec, prec: int) -> tuple[int, in
 
     Valid for unramified P (the root is simple mod p); returns (c, p**prec).
     """
-    t0, t1 = _minpoly_coeffs(field)
+    t0, t1 = -field.wsq_const, -field.wsq_lin
     p = P.p
     c = P.root
     mod = p

@@ -460,31 +460,17 @@ def principal_generator(P: PrimeIdealRec, power: int) -> NFElement:
 
 
 def _norm_equation_solutions(field: FieldSpec, b: int, target: int):
-    """All integers a with |Nm(a + b*w)| = target, for fixed b."""
+    """All integers a with |Nm(a + b*w)| = target, for fixed b.
+
+    With w^2 = c + l*w and u = 2a + l*b, 4*Nm(a + b*w) = u^2 - disc*b^2.
+    """
     out = set()
-    D = field.D
+    lin = field.wsq_lin
     for t in (target, -target):
-        if field._omega_half:
-            # (2a + b)^2 - D b^2 = 4 t
-            disc = D * b * b + 4 * t
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            for sgn in (r, -r):
-                num = sgn - b
-                if num % 2 == 0:
-                    out.add(num // 2)
-        else:
-            # a^2 = D b^2 + t
-            val = D * b * b + t
-            if val < 0:
-                continue
-            r = math.isqrt(val)
-            if r * r == val:
-                out.add(r)
-                out.add(-r)
+        u2 = field.discriminant * b * b + 4 * t
+        r = math.isqrt(max(u2, 0))
+        if r * r == u2 and (r - lin * b) % 2 == 0:
+            out.update(((r - lin * b) // 2, (-r - lin * b) // 2))
     return sorted(out)
 
 

@@ -179,7 +179,7 @@ def square_root_in_field(field: FieldSpec, delta: NFElement):
             return field.element(r)
         r = _rational_square_root(alpha / D)
         if r is not None:
-            return _from_sqrtd_coords(field, Fraction(0), r)
+            return field.from_sqrtd(Fraction(0), r)
         return None
     # (u + v*sqrt(D))^2 = delta: u^2 + D v^2 = alpha, 2uv = beta
     g = _rational_square_root(alpha * alpha - beta * beta * D)
@@ -191,16 +191,10 @@ def square_root_in_field(field: FieldSpec, delta: NFElement):
         if u is None or u == 0:
             continue
         v = beta / (2 * u)
-        cand = _from_sqrtd_coords(field, u, v)
+        cand = field.from_sqrtd(u, v)
         if (cand * cand) == delta:
             return cand
     return None
-
-
-def _from_sqrtd_coords(field: FieldSpec, u: Fraction, v: Fraction) -> NFElement:
-    if field._omega_half:
-        return field.element(u - v, 2 * v)
-    return field.element(u, v)
 
 
 def _rational_roots(f: Polynomial) -> list[Fraction]:

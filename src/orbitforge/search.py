@@ -26,7 +26,7 @@ from .constants import (
 )
 from .fields import FieldSpec, NFElement
 from .heights import height_S_of_inverse, height_value, support_lambda
-from .ideals import SSet, _minpoly_coeffs
+from .ideals import SSet
 from .intfactor import DEFAULT_RHO_BUDGET, IncompleteFactorization
 from .orbits import (
     DEFAULT_BIT_CAP,
@@ -117,19 +117,20 @@ def ring_elements_capped(
     """(elements, truncated): the ring integers of height <= H, ordered by
     (height, coordinates), cut to at most cap, and whether the cap cut.
 
-    One exact walk over the rows b of x = a + b*w, w^2 + t1*w + t0 = 0 (over
-    Q the only row is b = 0).  With u = 2a - t1*b, 4*Nm(x) = u^2 - disc*b^2,
-    and e^{2h(x)} is Nm(x) on an imaginary field and max(|Nm x|, |s1 x|,
-    |s2 x|) otherwise, where max|s_i x| = (|u| + |b|*sqrt(disc))/2.  So with
-    E = e^{2(H + _H_EPS)} each row is a range of |u|, of the parity of t1*b,
-    where u^2 is within floor(4E) of disc*b^2 (and max|s_i x| <= E if real).
+    One exact walk over the rows b of x = a + b*w, with w^2 = c + l*w the
+    field's (wsq_const, wsq_lin) and b = 0 the only row over Q.  With
+    u = 2a + l*b, 4*Nm(x) = u^2 - disc*b^2, and e^{2h(x)} is Nm(x) on an
+    imaginary field and max(|Nm x|, |s1 x|, |s2 x|) otherwise, where
+    max|s_i x| = (|u| + |b|*sqrt(disc))/2.  So with E = e^{2(H + _H_EPS)} each
+    row is a range of |u|, of the parity of l*b, where u^2 is within floor(4E)
+    of disc*b^2 (and max|s_i x| <= E if real).
     """
     if H < 0:
         raise ValueError("height cap must be >= 0")
     E = math.exp(2 * (H + _H_EPS))
     M = int(4 * E)
     disc = field.discriminant
-    t1 = _minpoly_coeffs(field)[1] if field.degree == 2 else 0
+    lin = field.wsq_lin
     if field.degree == 1:
         b_max = 0
     elif disc > 0:
@@ -143,10 +144,10 @@ def ring_elements_capped(
         u_hi = math.isqrt(hi2)
         if disc > 0:
             u_hi = min(u_hi, math.floor(2 * E - abs(b) * math.sqrt(disc)))
-        u_lo += (u_lo - t1 * b) % 2
+        u_lo += (u_lo - lin * b) % 2
         for u in range(u_lo, u_hi + 1, 2):
             for v in {u, -u}:
-                out.append(field.element((v + t1 * b) // 2, b))
+                out.append(field.element((v - lin * b) // 2, b))
     out.sort(key=_element_order_key)
     return out[:cap], len(out) > cap
 

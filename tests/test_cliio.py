@@ -675,3 +675,39 @@ def test_cli_class_number_needs_the_splitting_degree(tmp_path, capsys):
     assert main(["constants", "--config", _write_cfg(tmp_path, both), "--out", out]) == 0
     bounds = [r for r in _rows(out, "constants") if r["type"] == "effective_bounds"]
     assert bounds[0]["input_class_number_L"] == 1 and bounds[0]["eta2_inv"] > 1e84
+
+
+def test_sunit_scan_provenance_records_its_run_keys(tmp_path):
+    # the campaigns echo [run] as the other commands do: n_max shapes the rows
+    heads = []
+    for n_max in (2, 3):
+        cfgp = _write_cfg(tmp_path, "[field]\nkind = quadratic\nd = 5\n\n[poly]\ncoeffs = 1,0,1\n\n"
+                          f"[sset]\nideals = 2,5\n\n[caps]\nheight_cap = 1.5\n\n[run]\nn_max = {n_max}\n")
+        out = str(tmp_path / f"o{n_max}")
+        assert main(["sunit-scan", "--config", cfgp, "--out", out]) == 0
+        heads.append(_rows(out, "sunit-scan")[0])
+    assert [h["config_run_n_max"] for h in heads] == ["2", "3"]
+
+
+@pytest.mark.parametrize(
+    "field,S,caps,run,message",
+    [
+        ("kind = rational", "", "", f"alpha = {'1' * 7000}%\nm = 1",
+         "run.alpha does not parse (ValueError on a value of 7001 characters)"),
+        ("kind = quadratic\nd = 2", "", "", f"alpha = 1,2,{'1' * 7000}\nm = 1",
+         "run.alpha does not parse (FieldError on a value of 7004 characters)"),
+        ("kind = rational", "", f"bit_cap = {'1' * 7000}x", "alpha = 1\nm = 1",
+         "caps.bit_cap must be an integer, got a value of 7001 characters"),
+        (f"kind = {'q' * 7000}", "", "", "alpha = 1\nm = 1",
+         "field.kind must be rational|quadratic, got a value of 7000 characters"),
+        ("kind = rational", f"2,{'7' * 7000}x", "", "alpha = 1\nm = 1",
+         "bad S selector a value of 7001 characters"),
+    ],
+    ids=["alpha-rational", "alpha-three-coordinates", "cap", "field-kind", "S-selector"],
+)
+def test_cli_long_value_that_does_not_parse_is_named_by_its_length(field, S, caps, run, message,
+                                                                    tmp_path, capsys):
+    cfgp = _write_cfg(tmp_path, _ini("1,0,1", S, caps, run).replace("kind = rational", field))
+    assert main(["orbit", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"orbitforge: error: {message}\n" and len(err) < 200

@@ -255,3 +255,27 @@ def test_kernel_fast_path_matches_fraction_formulas(case, k, n):
     assert (x == y) == (rx == ry)
     if rx == ry:
         assert hash(x) == hash(y)
+
+
+# -- the basis pair (wsq_const, wsq_lin) against sqrt(D) coordinates ----------
+
+BASIS_FIELDS = [make_field("quadratic", D) for D in (2, 3, -1, -2, -5)] + [
+    make_field("quadratic", D) for D in (5, 13, -3, -7, -15)
+]
+
+
+def test_basis_pair_is_decided_by_D_mod_4():
+    assert (make_field("rational").wsq_const, make_field("rational").wsq_lin) == (0, 0)
+    for F in BASIS_FIELDS:
+        assert (F.wsq_const, F.wsq_lin) == tuple(int(c) for c in _wsq(F))
+        assert F.omega() * F.omega() == F.wsq_const + F.wsq_lin * F.omega()
+
+
+@given(st.sampled_from(BASIS_FIELDS), _coordinates, _coordinates)
+def test_from_sqrtd_inverts_sqrtd_coords(F, a, b):
+    x = F.element(a, b)
+    u, v = x.sqrtd_coords()
+    assert F.from_sqrtd(u, v) == x
+    assert x.norm() == u * u - F.D * v * v
+    assert x.trace() == 2 * u
+    assert x.conj().sqrtd_coords() == (u, -v)

@@ -28,6 +28,7 @@ from orbitforge.orbits import (
     GeneratorSearchError,
     OrbitRecord,
     ZsigmondyResult,
+    _norm_equation_solutions,
     _norm_outside_S,
     build_Sk,
     check_power_dependence,
@@ -709,6 +710,45 @@ def test_principal_generator_examples():
         principal_generator(p3a, 1)
     # determinism
     assert principal_generator(p3a, 2) == g3
+
+
+def _norm_equation_solutions_two_branch(field, b, target):
+    """The solver as it was with one branch per integral basis."""
+    out = set()
+    D = field.D
+    for t in (target, -target):
+        if field.D % 4 == 1:
+            # (2a + b)^2 - D b^2 = 4 t
+            disc = D * b * b + 4 * t
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for sgn in (r, -r):
+                num = sgn - b
+                if num % 2 == 0:
+                    out.add(num // 2)
+        else:
+            # a^2 = D b^2 + t
+            val = D * b * b + t
+            if val < 0:
+                continue
+            r = math.isqrt(val)
+            if r * r == val:
+                out.add(r)
+                out.add(-r)
+    return sorted(out)
+
+
+def test_norm_equation_solutions_match_the_two_branch_solver():
+    for D in (2, 3, -1, -2, -5, 5, 13, -3, -7, -15):
+        F = make_field("quadratic", D)
+        for b in range(-20, 21):
+            for target in range(0, 202):
+                got = _norm_equation_solutions(F, b, target)
+                assert got == _norm_equation_solutions_two_branch(F, b, target), (D, b, target)
+                assert all(abs(F.element(a, b).norm()) == target for a in got)
 
 
 def test_spart_witness_worked_instance():
