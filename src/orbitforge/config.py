@@ -1,15 +1,21 @@
 """INI run configurations: parsing, validation, lossless round-trips.
 
-Sections and keys are a closed set; unknown keys are rejected so that a
-typo cannot silently change a run.  The S selector grammar is either a
-bare rational prime ("7": every ideal above 7) or a prime with an ideal
-tag ("7a"/"7b": one of the two split ideals in canonical order).
+The grammar is strict.  A line is blank, a full-line comment (first
+non-blank character ``#`` or ``;``), a ``[section]`` header, or a
+``key = value`` line split at its first ``=``: the key is lower-cased and
+the value stripped and read literally, so a ``;``, ``#`` or ``%`` in it is
+part of the value.  There are no inline comments, no ``:`` delimiter, no
+indented continuation lines and no ``[DEFAULT]`` section; every such line
+is an error that names its line number, as are a key before any section
+and a repeated section or key.  Sections and keys are a closed set;
+unknown ones are rejected so that a typo cannot silently change a run.
+The S selector grammar is either a bare rational prime ("7": every ideal
+above 7) or a prime with an ideal tag ("7a"/"7b": one of the two split
+ideals in canonical order).
 """
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -61,20 +67,19 @@ class RunConfig(SearchConfig):
         return prov
 
     def to_ini(self) -> str:
-        cp = configparser.ConfigParser(interpolation=None)
-        cp["field"] = {"kind": self.field.kind}
+        ini = {"field": {"kind": self.field.kind}}
         if self.field.kind == "quadratic":
-            cp["field"]["d"] = str(self.field.D)
+            ini["field"]["d"] = str(self.field.D)
         if self.f is not None:
-            cp["poly"] = {"coeffs": ",".join(str(c.a) for c in self.f.coeffs)}
+            ini["poly"] = {"coeffs": ",".join(str(c.a) for c in self.f.coeffs)}
             sp = self.splitting
             if sp is not None:
-                cp["poly"]["splitting_degree"] = str(sp.degree_D)
+                ini["poly"]["splitting_degree"] = str(sp.degree_D)
                 if sp.class_number_L is not None:
-                    cp["poly"]["class_number_l"] = str(sp.class_number_L)
-        cp["sset"] = {"ideals": ",".join(self.S.ideal_selectors())}
-        cp["c_params"] = {k: repr(v) for k, v in self.c_params.as_dict().items()}
-        cp["caps"] = {
+                    ini["poly"]["class_number_l"] = str(sp.class_number_L)
+        ini["sset"] = {"ideals": ",".join(self.S.ideal_selectors())}
+        ini["c_params"] = {k: repr(v) for k, v in self.c_params.as_dict().items()}
+        ini["caps"] = {
             "height_cap": repr(self.height_cap),
             "m_max": str(self.m_max),
             "bit_cap": str(self.bit_cap),
@@ -82,12 +87,50 @@ class RunConfig(SearchConfig):
             "element_cap": str(self.element_cap),
         }
         if self.run_options:
-            cp["run"] = {k: str(v) for k, v in self.run_options.items()}
+            ini["run"] = {k: str(v) for k, v in self.run_options.items()}
         if self.output_dir:
-            cp["output"] = {"dir": self.output_dir}
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
+            ini["output"] = {"dir": self.output_dir}
+        return _write_ini(ini)
+
+
+def _read_ini(text: str) -> dict:
+    """{section: {key: value}} from config text in the module's grammar."""
+    ini = {}
+    body = None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line[0] in "#;":
+            continue
+        if raw[0].isspace():
+            raise ConfigError(f"config line {lineno}: indented line (no continuation lines)")
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1]
+            if name not in _ALLOWED:
+                raise ConfigError(f"config line {lineno}: unknown section {shown(name)}")
+            if name in ini:
+                raise ConfigError(f"config line {lineno}: repeated section [{name}]")
+            body = ini[name] = {}
+            continue
+        key, eq, value = line.partition("=")
+        key = key.rstrip().lower()
+        if not (eq and key):
+            raise ConfigError(
+                f"config line {lineno}: expected [section] or key = value, got {shown(line)}"
+            )
+        if body is None:
+            raise ConfigError(f"config line {lineno}: key {shown(key)} before any [section]")
+        if key in body:
+            raise ConfigError(f"config line {lineno}: repeated key {shown(key)}")
+        body[key] = value.strip()
+    return ini
+
+
+def _write_ini(ini: dict) -> str:
+    """The text _read_ini reads back as ini: each section, then a blank line."""
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()) + "\n"
+        for name, body in ini.items()
+    )
 
 
 def parse_s_selectors(field: FieldSpec, text: str) -> SSet:
@@ -118,13 +161,12 @@ def parse_s_selectors(field: FieldSpec, text: str) -> SSet:
     return SSet(field, ideals)
 
 
-def _parse_section(cp: configparser.ConfigParser, name: str) -> dict:
-    if not cp.has_section(name):
-        return {}
-    got = dict(cp.items(name))
+def _parse_section(ini: dict, name: str) -> dict:
+    got = ini.get(name, {})
     unknown = set(got) - _ALLOWED[name]
     if unknown:
-        raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+        names = ", ".join(shown(k) for k in sorted(unknown))
+        raise ConfigError(f"unknown keys in [{name}]: [{names}]")
     return got
 
 
@@ -145,17 +187,8 @@ def _int_at_least(section: str, key: str, text, low: int = 0) -> int:
 
 
 def load_config_text(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        lineno = getattr(exc, "lineno", "?")
-        raise ConfigError(f"config parse error at line {lineno}: {exc.message}") from exc
-    for section in cp.sections():
-        if section not in _ALLOWED:
-            raise ConfigError(f"unknown section [{section}]")
-
-    fs = _parse_section(cp, "field")
+    ini = _read_ini(text)
+    fs = _parse_section(ini, "field")
     kind = fs.get("kind", "rational")
     if kind not in ("rational", "quadratic"):
         raise ConfigError(f"field.kind must be rational|quadratic, got {shown(kind)}")
@@ -170,7 +203,7 @@ def load_config_text(text: str) -> RunConfig:
         raise ConfigError(f"field: {exc}") from exc
 
     poly = None
-    ps = _parse_section(cp, "poly")
+    ps = _parse_section(ini, "poly")
     if "coeffs" in ps:
         coeffs = [_parsed("poly", "coeffs", c.strip(), Fraction) for c in ps["coeffs"].split(",")]
         poly = Polynomial(field, coeffs)
@@ -186,13 +219,13 @@ def load_config_text(text: str) -> RunConfig:
     elif "class_number_l" in ps:
         raise ConfigError("poly.splitting_degree is required with poly.class_number_l")
 
-    ss = _parse_section(cp, "sset")
+    ss = _parse_section(ini, "sset")
     S = parse_s_selectors(field, ss.get("ideals", ""))
 
-    cs = _parse_section(cp, "c_params")
+    cs = _parse_section(ini, "c_params")
     c_params = CParams(**{k: _parsed("c_params", k, v, float) for k, v in cs.items()})
 
-    caps = _parse_section(cp, "caps")
+    caps = _parse_section(ini, "caps")
     height_cap = _parsed("caps", "height_cap", caps.get("height_cap", 0.0), float)
     if not math.isfinite(height_cap) or height_cap < 0:
         raise ConfigError("caps.height_cap must be a finite nonnegative number")
@@ -205,12 +238,12 @@ def load_config_text(text: str) -> RunConfig:
     ):
         int_caps[key] = _int_at_least("caps", key, caps.get(key, default))
 
-    run = _parse_section(cp, "run")
+    run = _parse_section(ini, "run")
     for key in sorted(_RUN_INTS & set(run)):
         _int_at_least("run", key, run[key])
     if "h_beta" in run:
         _parsed("run", "h_beta", run["h_beta"], float)
-    out = _parse_section(cp, "output")
+    out = _parse_section(ini, "output")
 
     return RunConfig(
         field=field,
