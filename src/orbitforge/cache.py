@@ -1,13 +1,17 @@
 """Append-only factorization cache for rational integers.
 
 Plain text, one record per line: "n = p1^e1 * p2^e2 * ...", with a
-versioned header.  Structure, duplicates and products are checked on load:
-every record is re-multiplied, and a corrupt line or a repeated key aborts
-the load.  A record's factors are proved prime (Baillie-PSW) the first time
-a lookup reads it; a factor that fails raises on that lookup and on every
-later one.  Errors name the line and its length, never its text.  The file
-has a single-writer contract; records are content-determined, so last-
-writer-wins merges of private caches are safe.
+versioned header.  The file is read when a command first reads the cache
+(its first lookup, or len()), or created with its header if it is missing;
+a command that factors nothing never opens it, so a corrupt file or a
+missing directory stops only commands that factor.  That read checks the
+structure, duplicates and products: every record is re-multiplied, and a
+corrupt line or a repeated key aborts the read.  A record's factors are
+proved prime (Baillie-PSW) the first time a lookup reads it; a factor that
+fails raises on that lookup and on every later one.  Errors name the line
+and its length, never its text.  The file has a single-writer contract;
+records are content-determined, so last-writer-wins merges of private
+caches are safe.
 """
 
 from __future__ import annotations
@@ -90,17 +94,24 @@ class FactorCache:
         # loaded records whose factors no lookup has proved prime yet:
         # n -> (line number, line length)
         self._unproved: dict[int, tuple[int, int]] = {}
-        if path and os.path.exists(path):
-            self._load(path)
-        elif path:
+        # the file is read, or created, by the first lookup or len()
+        self._loaded = not path
+
+    def _load(self):
+        """Read the file, or create it with its header if it is missing.  A
+        read that fails changes nothing, so the next lookup reads again."""
+        path = self.path
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(CACHE_HEADER + "\n")
-
-    def _load(self, path: str):
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = [CACHE_HEADER]
         if not lines or lines[0] != CACHE_HEADER:
             raise CacheError(f"missing or wrong cache header in {path}")
+        records: dict[int, dict[int, int]] = {}
+        unproved: dict[int, tuple[int, int]] = {}
         # records are re-multiplied, so their length needs no guard: a
         # record any run wrote loads in every run, whatever its bit cap
         with int_str_limit(0):
@@ -108,10 +119,12 @@ class FactorCache:
                 if not line.strip():
                     continue
                 n, fac = _parse_record(line, i)
-                if n in self._map:
+                if n in records:
                     raise _corrupt(i, len(line), "duplicate key")
-                self._map[n] = fac
-                self._unproved[n] = (i, len(line))
+                records[n] = fac
+                unproved[n] = (i, len(line))
+        self._map, self._unproved = records, unproved
+        self._loaded = True
 
     def lookup_or_factor(self, n: int) -> dict[int, int]:
         """Stored factorization of n >= 2 (a loaded record's primes are proved
@@ -120,6 +133,8 @@ class FactorCache:
             if n in (0, 1):
                 return {}
             raise ValueError("cache keys are integers >= 2")
+        if not self._loaded:
+            self._load()
         hit = self._map.get(n)
         if hit is not None:
             where = self._unproved.get(n)
@@ -136,5 +151,7 @@ class FactorCache:
         return dict(fac)
 
     def __len__(self):
+        if not self._loaded:
+            self._load()
         return len(self._map)
 

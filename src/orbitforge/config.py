@@ -44,6 +44,7 @@ _ALLOWED = {
 }
 _RUN_INTS = {"m", "n", "k", "n_max", "sample_count"}
 ECHO_LIMIT = 80
+_NAMED_KEYS = 10  # an unknown-keys error names at most this many, then counts the rest
 
 
 def shown(text) -> str:
@@ -163,10 +164,13 @@ def parse_s_selectors(field: FieldSpec, text: str) -> SSet:
 
 def _parse_section(ini: dict, name: str) -> dict:
     got = ini.get(name, {})
-    unknown = set(got) - _ALLOWED[name]
+    unknown = sorted(set(got) - _ALLOWED[name])
     if unknown:
-        names = ", ".join(shown(k) for k in sorted(unknown))
-        raise ConfigError(f"unknown keys in [{name}]: [{names}]")
+        names = ", ".join(shown(k) for k in unknown[:_NAMED_KEYS])
+        more = len(unknown) - _NAMED_KEYS
+        raise ConfigError(
+            f"unknown keys in [{name}]: [{names}]" + (f" and {more} more" if more > 0 else "")
+        )
     return got
 
 

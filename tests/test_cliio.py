@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitforge.cache import CacheError, FactorCache, int_str_limit
+from orbitforge.cache import CACHE_HEADER, CacheError, FactorCache, int_str_limit
 from orbitforge.cli import main, run_command, write_report
 from orbitforge.config import ConfigError, load_config, load_config_text, parse_s_selectors
 from orbitforge.constants import SplittingData
@@ -153,7 +153,7 @@ def test_cache_corruption_detected(tmp_path):
     with open(path, "w") as fh:
         fh.write("# orbitforge-factor-cache v1\n720 = 2^4 * 3^2\n")
     with pytest.raises(CacheError) as ei:
-        FactorCache(path)
+        len(FactorCache(path))
     assert "line 2" in str(ei.value)
 
 
@@ -175,7 +175,7 @@ def test_cache_duplicate_detected(tmp_path):
     with open(path, "w") as fh:
         fh.write("# orbitforge-factor-cache v1\n6 = 2 * 3\n6 = 2 * 3\n")
     with pytest.raises(CacheError):
-        FactorCache(path)
+        len(FactorCache(path))
 
 
 def test_cache_header_required(tmp_path):
@@ -183,7 +183,18 @@ def test_cache_header_required(tmp_path):
     with open(path, "w") as fh:
         fh.write("6 = 2 * 3\n")
     with pytest.raises(CacheError):
-        FactorCache(path)
+        len(FactorCache(path))
+
+
+def test_cache_read_that_fails_fails_the_same_way_again(tmp_path):
+    # the read stops at line 3, after line 2 parsed: a retry must not see line 2 twice
+    path = str(tmp_path / "cache.txt")
+    with open(path, "w") as fh:
+        fh.write("# orbitforge-factor-cache v1\n6 = 2 * 3\n6 = 2 * 3\n")
+    cache = FactorCache(path)
+    for read in (len, lambda c: c.lookup_or_factor(6), len):
+        with pytest.raises(CacheError, match="line 3 .*duplicate key"):
+            read(cache)
 
 
 def test_cache_error_names_the_line_and_its_length_not_the_record(tmp_path):
@@ -203,7 +214,7 @@ def test_cache_error_names_the_line_and_its_length_not_the_record(tmp_path):
         with open(path, "w") as fh:
             fh.write(f"# orbitforge-factor-cache v1\n{records}\n")
         with pytest.raises(CacheError) as ei:
-            FactorCache(path)
+            len(FactorCache(path))
         message = str(ei.value)
         assert len(message) < 200, why
         assert ("line 3" if why == "duplicate" else "line 2") in message, why
@@ -240,18 +251,25 @@ def test_cache_proves_a_record_on_its_first_hit_only(tmp_path, monkeypatch):
     assert proved == []
 
 
-@given(st.lists(st.integers(2, 10**15), max_size=12))
+@given(st.lists(st.integers(2, 10**15), max_size=12), st.booleans())
 @settings(max_examples=40)
-def test_cache_reloaded_from_its_file_returns_factorize(values):
+def test_cache_reloaded_from_its_file_returns_factorize(values, length_first):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cache.txt")
         writer = FactorCache(path)
+        # built before the writer's first record: it reads the file on first use
+        reader = FactorCache(path)
         for n in values:
             writer.lookup_or_factor(n)
-        reader = FactorCache(path)
-        assert len(reader) == len(set(values))
+        if length_first:
+            assert len(reader) == len(set(values))
         for n in values:
             assert reader.lookup_or_factor(n) == factorize(n)
+        count = len(reader)  # with no values, this read creates the file
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == CACHE_HEADER
+        assert count == len(lines) - 1 == len(set(values))
 
 
 def _write_cfg(tmp_path, text):
@@ -559,14 +577,23 @@ def test_cli_cache_record_is_proved_when_a_command_reads_it(tmp_path, monkeypatc
 
 def test_cli_primitive_divisor_below_the_trial_bound_needs_no_factor_budget(tmp_path, monkeypatch):
     # f(1) = 293 * PQ: 293 answers by trial division, so the budget of 10
-    # that cuts PQ is never spent, and the cache gains no record
+    # that cuts PQ is never spent, and the cache file is never opened
     cache_path = tmp_path / "factors.txt"
     monkeypatch.setenv("ORBITFORGE_CACHE", str(cache_path))
     cfgp = _write_cfg(tmp_path, _ini(f"{293 * PQ - 1},0,1", "", "factor_budget = 10", "alpha = 1\nm = 1"))
     out = str(tmp_path / "out")
     assert main(["primitive-divisors", "--config", cfgp, "--out", out]) == 0
     assert [r["norm"] for r in _rows(out, "primitive-divisors")[1:]] == [293]
-    assert cache_path.read_text().splitlines()[1:] == []
+    assert not cache_path.exists()
+
+
+def test_cli_heights_creates_a_missing_factor_cache_with_its_header(tmp_path, monkeypatch):
+    cache_path = tmp_path / "factors.txt"
+    monkeypatch.setenv("ORBITFORGE_CACHE", str(cache_path))
+    cfgp = _write_cfg(tmp_path, _ini("3,-1,0,1", "2,3,5", run="alpha = 1/6"))
+    assert main(["heights", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    lines = cache_path.read_text().splitlines()
+    assert lines[0] == "# orbitforge-factor-cache v1" and "6 = 2 * 3" in lines[1:]
 
 
 @pytest.mark.parametrize(

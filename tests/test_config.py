@@ -126,6 +126,20 @@ def test_error_text_is_bounded():
         assert "7000 characters" in message, message
 
 
+
+@pytest.mark.parametrize("count", [10, 2000])
+def test_unknown_keys_are_named_at_most_ten(count):
+    keys = "".join(f"k{i} = 1\n" for i in range(count))
+    with pytest.raises(ConfigError) as exc:
+        load_config_text(f"[field]\nkind = rational\n[run]\n{keys}")
+    message = str(exc.value)
+    assert message.startswith("unknown keys in [run]: ['k0', 'k1', ")
+    assert message.count("'k") == 10
+    if count == 10:
+        assert message.endswith("'k9']")
+    else:
+        assert message.endswith("] and 1990 more") and len(message) < 200, message
+
 def test_cli_import_does_not_load_configparser():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
