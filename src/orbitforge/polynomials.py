@@ -5,7 +5,9 @@ also resolves the degree of a splitting field where that is decidable
 with the machinery at hand: full root-peeling plus square tests in the
 base field, and the discriminant test for an irreducible cubic.  Each
 polynomial computes its squarefree part and its root peel once, on first
-use, and every later reader shares them.
+use, and every later reader shares them.  For rational coefficients the
+gcd, the division by x - r per root and the cubic discriminant run on the
+Fraction coordinates; NFElements are built only for what is handed on.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class Polynomial:
         return out
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(self.field, [c * i for i, c in enumerate(self.coeffs)][1:] or [0])
+        cs = [self.field.element(i * c.a, i * c.b) for i, c in enumerate(self.coeffs[1:], 1)]
+        return Polynomial(self.field, cs or [0])
 
     def iterate_value(self, x, n: int) -> NFElement:
         """The n-th forward image of x; n = 0 returns x itself."""
@@ -63,10 +66,10 @@ class Polynomial:
     @cached_property
     def squarefree_part(self) -> "Polynomial":
         """f / gcd(f, f'), over Q when every coefficient is rational."""
-        f = self
-        if all(c.b == 0 for c in f.coeffs):
-            f = Polynomial(_RATIONAL, [c.a for c in f.coeffs])
-        return f if f.degree < 1 else _divmod_poly(f, poly_gcd(f, f.derivative()))[0]
+        field, cs = _coordinates(self)
+        if self.degree >= 1:
+            cs = _divmod_poly(cs, _coordinates(poly_gcd(self, self.derivative()))[1])[0]
+        return Polynomial(field, cs)
 
     @cached_property
     def peeled(self) -> tuple[tuple[NFElement, ...], "Polynomial"]:
@@ -81,13 +84,17 @@ class Polynomial:
         if self.degree < 1:
             return (), self
         roots: list[NFElement] = []
-        g = self
+        g = _coordinates(self)[1]  # Fractions whenever there is a rational root
         for q in sorted(_rational_roots(self),
                         key=lambda q: (abs(q.numerator), q.denominator, q < 0)):
             r = field.element(q)
-            while g(r).is_zero():
+            while True:  # synthetic division by x - q; its remainder is g(q)
+                *quotient, rem = itertools.accumulate(reversed(g), lambda acc, c: acc * q + c)
+                if rem != 0:
+                    break
                 roots.append(r)
-                g, _ = _divmod_poly(g, Polynomial(field, [-r, 1]))
+                g = quotient[::-1]
+        g = Polynomial(field, g) if roots else self
         if g.degree == 2:
             c0, c1, c2 = g.coeffs
             y = square_root_in_field(field, c1 * c1 - 4 * c0 * c2)
@@ -122,30 +129,37 @@ class Polynomial:
         return " + ".join(terms) if terms else "0"
 
 
-def _divmod_poly(num: Polynomial, den: Polynomial):
-    field = num.field
-    q = [field.zero()] * max(num.degree - den.degree + 1, 1)
-    r = list(num.coeffs)
-    d = den.degree
-    lead_inv = den.leading.inverse()
-    while len(r) - 1 >= d and not r[-1].is_zero():  # r stays trimmed: zero is [0]
+def _coordinates(p: Polynomial) -> tuple[FieldSpec, list]:
+    """(Q, the Fraction coefficients) when p is rational, else (p.field, the NFElements)."""
+    if all(c.b == 0 for c in p.coeffs):
+        return _RATIONAL, [c.a for c in p.coeffs]
+    return p.field, list(p.coeffs)
+
+
+def _divmod_poly(num: list, den: list) -> tuple[list, list]:
+    """(quotient, remainder) of trimmed lists of Fractions or NFElements, lowest degree first."""
+    q = [0] * max(len(num) - len(den) + 1, 1)
+    r = list(num)
+    d = len(den) - 1
+    lead_inv = 1 / den[-1]
+    while len(r) - 1 >= d and r[-1] != 0:  # r stays trimmed: zero is [0]
         k = len(r) - 1 - d
         t = r[-1] * lead_inv
         q[k] = t
         for i in range(d + 1):
-            r[k + i] = r[k + i] - t * den.coeffs[i]
-        while len(r) > 1 and r[-1].is_zero():
+            r[k + i] = r[k + i] - t * den[i]
+        while len(r) > 1 and r[-1] == 0:
             r.pop()
-    return Polynomial(field, q), Polynomial(field, r)
+    return q, r
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm over the field."""
-    while b.degree >= 0:
+    """Monic gcd by the Euclidean algorithm, on Fraction coordinates where rational."""
+    field, a, b = a.field, _coordinates(a)[1], _coordinates(b)[1]
+    while b[-1] != 0:  # trimmed: only the zero polynomial ends in 0
         a, b = b, _divmod_poly(a, b)[1]
-    if a.degree < 0:
-        return a
-    return Polynomial(a.field, [c * a.leading.inverse() for c in a.coeffs])
+    lead_inv = 1 / a[-1] if a[-1] != 0 else 1  # gcd(0, 0) = 0
+    return Polynomial(field, [c * lead_inv for c in a])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +269,7 @@ def splitting_degree(f: Polynomial) -> int | None:
     if g.degree == 2:
         return 2
     if g.degree == 3:
-        c0, c1, c2, c3 = g.coeffs
+        c0, c1, c2, c3 = _coordinates(g)[1]
         disc = (
             18 * c3 * c2 * c1 * c0
             - 4 * c2**3 * c0
@@ -263,6 +277,7 @@ def splitting_degree(f: Polynomial) -> int | None:
             - 4 * c3 * c1**3
             - 27 * c3**2 * c0**2
         )
+        disc = disc if isinstance(disc, NFElement) else f.field.element(disc)
         if square_root_in_field(f.field, disc) is not None:
             return 3
         return 6

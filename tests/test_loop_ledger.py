@@ -67,14 +67,16 @@ LEDGER = {
     # polynomials.py
     "polynomials.Polynomial.__init__: while len(cs) > 1 and cs[-1].is_zero()":
         "pops one coefficient each round: at most len(coeffs) - 1 rounds",
-    "polynomials.Polynomial.peeled: while g(r).is_zero()":
-        "each round divides g by x - r, lowering its degree: at most deg f rounds",
-    "polynomials._divmod_poly: while len(r) - 1 >= d and (not r[-1].is_zero())":
+    "polynomials.Polynomial.peeled: while True":
+        "each round that does not break divides g by x - q, lowering its degree; a "
+        "nonzero constant g leaves a nonzero remainder and breaks: at most deg f + 1 rounds",
+    "polynomials._divmod_poly: while len(r) - 1 >= d and r[-1] != 0":
         "each round cancels the leading term of r: at most deg num - deg den + 1 rounds",
-    "polynomials._divmod_poly: while len(r) > 1 and r[-1].is_zero()":
+    "polynomials._divmod_poly: while len(r) > 1 and r[-1] == 0":
         "pops one coefficient each round: at most len(r) - 1 rounds",
-    "polynomials.poly_gcd: while b.degree >= 0":
-        "Euclid: deg b falls each round: at most deg b + 1 rounds",
+    "polynomials.poly_gcd: while b[-1] != 0":
+        "Euclid: b is trimmed, so it ends in 0 only as the zero polynomial, and deg b "
+        "falls each round: at most deg b + 1 rounds",
     "polynomials._rational_roots: for p in filter(is_prime, itertools.count(d + 1))":
         "G is squarefree, so disc(G) != 0: only the primes dividing disc(G) are skipped",
     "polynomials._rational_roots: while m <= 2 * B":

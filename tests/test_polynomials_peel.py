@@ -5,7 +5,9 @@ and q dividing the leading coefficient of the scaled integer coefficients
 is tried in turn, each root found is divided out and the search restarts,
 and a leftover quadratic gets the square test in the field.  Its work grows
 with the divisor counts of the coefficients, so the draws keep them small.
-The distinct-root oracle is the old gcd over the base field.
+The division, gcd and squarefree part of the oracle are the old ones over
+the base field, frozen here: the module's own run on Fraction coordinates
+for rational coefficients, and a counting test holds them to that.
 
 Each polynomial peels itself and takes its squarefree part once; the count
 tests hold the bound checks and the splitting data to one of each.
@@ -24,11 +26,10 @@ from orbitforge.cache import FactorCache
 from orbitforge.cli import run_command
 from orbitforge.config import load_config_text
 from orbitforge.constants import resolve_splitting
-from orbitforge.fields import make_field
+from orbitforge.fields import NFElement, make_field
 from orbitforge.intfactor import IncompleteFactorization, factorize
 from orbitforge.polynomials import (
     Polynomial,
-    _divmod_poly,
     poly_gcd,
     splitting_degree,
     splitting_field_disc,
@@ -40,8 +41,44 @@ FIELDS = (Q,) + tuple(make_field("quadratic", D) for D in (2, -1, 5, -5))
 
 
 # ---------------------------------------------------------------------------
-# the oracle: candidate enumeration by the rational root theorem
+# the oracle: field arithmetic, and candidate enumeration by the rational
+# root theorem
 # ---------------------------------------------------------------------------
+
+
+def _divmod_poly(num, den):
+    field = num.field
+    q = [field.zero()] * max(num.degree - den.degree + 1, 1)
+    r = list(num.coeffs)
+    d = den.degree
+    lead_inv = den.leading.inverse()
+    while len(r) - 1 >= d and not r[-1].is_zero():
+        k = len(r) - 1 - d
+        t = r[-1] * lead_inv
+        q[k] = t
+        for i in range(d + 1):
+            r[k + i] = r[k + i] - t * den.coeffs[i]
+        while len(r) > 1 and r[-1].is_zero():
+            r.pop()
+    return Polynomial(field, q), Polynomial(field, r)
+
+
+def _gcd(a, b):
+    while b.degree >= 0:
+        a, b = b, _divmod_poly(a, b)[1]
+    if a.degree < 0:
+        return a
+    return Polynomial(a.field, [c * a.leading.inverse() for c in a.coeffs])
+
+
+def _derivative(f):
+    return Polynomial(f.field, [c * i for i, c in enumerate(f.coeffs)][1:] or [0])
+
+
+def _oracle_squarefree_part(f):
+    if all(c.b == 0 for c in f.coeffs):
+        f = Polynomial(Q, [c.a for c in f.coeffs])
+    return f if f.degree < 1 else _divmod_poly(f, _gcd(f, _derivative(f)))[0]
 
 
 def _divisors(n):
@@ -127,7 +164,7 @@ def _oracle_splitting_field_disc(f):
 def _oracle_distinct_root_count(f):
     if f.degree < 1:
         return 0
-    return f.degree - poly_gcd(f, f.derivative()).degree
+    return f.degree - _gcd(f, _derivative(f)).degree
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +224,9 @@ def test_peel_matches_candidate_enumeration(f):
     assert first == oracle
     second = [read(f) for read in reversed(READERS)][::-1]
     assert second == oracle
+    assert f.peeled[1] == _oracle_cofactor(f)
+    assert f.squarefree_part == _oracle_squarefree_part(f)
+    assert poly_gcd(f, f.derivative()) == _gcd(f, _derivative(f))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +283,32 @@ def test_splitting_field_disc_honours_the_factor_budget():
         splitting_field_disc(f, FactorCache(budget=1000))
     with pytest.raises(IncompleteFactorization):
         resolve_splitting(f, FactorCache(budget=1000))
+
+
+# ---------------------------------------------------------------------------
+# rational coefficients are peeled on their Fraction coordinates
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "D,coeffs,degree,bound",
+    [(None, [-6, 11, -6, 1], 1, 12), (5, [-6, 11, -6, 1], 1, 12), (None, [3, -1, 0, 1], 6, 9)],
+    ids=["(x-1)(x-2)(x-3)-Q", "(x-1)(x-2)(x-3)-Q(sqrt5)", "x3-x+3-Q"],
+)
+def test_rational_peel_builds_few_field_elements(D, coeffs, degree, bound, monkeypatch):
+    # NFElement arithmetic throughout builds 173, 176 and 114 here: far above each bound
+    f = Polynomial(Q if D is None else make_field("quadratic", D), coeffs)
+    built = [0]
+    init = NFElement.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NFElement, "__init__", counted_init)
+    assert splitting_degree(f) == degree
+    assert f.squarefree_part.degree == 3
+    assert built[0] <= bound
 
 
 # ---------------------------------------------------------------------------
